@@ -42,7 +42,7 @@ func NewBuilder(n, arcHint int) *Builder {
 
 // Reset reinitializes the builder for a graph on n nodes, keeping the
 // arc arrays' capacity. Workers that build one auxiliary graph per item
-// (internal/msrp's §8.1/§8.2.2 stages) reset a per-worker builder
+// (internal/msrp's §8.1 stages) reset a per-worker builder
 // instead of allocating a new one per item.
 func (b *Builder) Reset(n int) {
 	b.n = n
@@ -114,7 +114,7 @@ func (b *Builder) finalizeInto(g *Graph, cursor []int32) *Graph {
 
 // FinalizeScratch is Finalize with the CSR arrays carved from an
 // engine scratch, valid only until the scratch's next Reset. It serves
-// the build-run-discard pattern of the §8.1/§8.2.2 auxiliary stages,
+// the build-run-discard pattern of the §7.1/§8.1/§8.3.2 auxiliary stages,
 // which otherwise heap-allocate Θ(nodes + arcs) per item just to throw
 // the graph away after one Run. A nil scratch falls back to Finalize.
 func (b *Builder) FinalizeScratch(sc *engine.Scratch) *Graph {
@@ -157,7 +157,7 @@ func (g *Graph) Run(src int32) *Result {
 
 // RunScratch is Run with the Dist/Parent arrays carved from an engine
 // scratch — for callers that copy what they need out of the Result
-// before the scratch's next Reset (the §8.1/§8.2.2 stages, which
+// before the scratch's next Reset (the §8.1/§8.3.2 stages, which
 // extract a handful of rows from a Θ(nodes) result). A nil scratch
 // falls back to Run.
 func (g *Graph) RunScratch(src int32, sc *engine.Scratch) *Result {

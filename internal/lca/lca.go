@@ -190,6 +190,11 @@ func (ix *Index) depthAt(tourPos int32) int32 {
 // Tree returns the underlying BFS tree.
 func (a *Ancestry) Tree() *bfs.Tree { return a.tree }
 
+// Timestamps exposes the DFS entry/exit arrays behind IsAncestor, for
+// hot loops that hoist one side of the comparison out of the loop.
+// The slices are shared with a and must not be modified.
+func (a *Ancestry) Timestamps() (tin, tout []int32) { return a.tin, a.tout }
+
 // IsAncestor reports whether a is an ancestor of b (inclusive: every
 // reachable vertex is an ancestor of itself). Unreachable vertices have
 // no ancestry relations.

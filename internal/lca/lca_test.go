@@ -239,3 +239,33 @@ func TestAncestryMatchesIndex(t *testing.T) {
 		}
 	}
 }
+
+// TestTimestampsDecideAncestry: the exported timestamps answer
+// IsAncestor by the interval test alone for reachable vertices, and
+// mark unreachable vertices with tin = -1.
+func TestTimestampsDecideAncestry(t *testing.T) {
+	b := graph.NewBuilder(6)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {0, 3}, {4, 5}} {
+		if err := b.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	anc := NewAncestry(g, bfs.New(g, 0))
+	tin, tout := anc.Timestamps()
+	for x := int32(0); x < 6; x++ {
+		for y := int32(0); y < 6; y++ {
+			want := anc.IsAncestor(x, y)
+			got := tin[x] >= 0 && tin[y] >= 0 && tin[x] <= tin[y] && tout[y] <= tout[x]
+			if got != want {
+				t.Fatalf("timestamps say %v for (%d,%d), IsAncestor %v", got, x, y, want)
+			}
+		}
+	}
+	if tin[4] != -1 || tin[5] != -1 {
+		t.Fatalf("unreachable vertices have tin %d, %d, want -1", tin[4], tin[5])
+	}
+}

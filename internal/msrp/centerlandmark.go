@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"msrp/internal/cuckoo"
+	"msrp/internal/dijkstra"
 	"msrp/internal/engine"
+	"msrp/internal/pqueue"
 	"msrp/internal/rp"
 	"msrp/internal/ssrp"
 )
@@ -182,6 +184,10 @@ type centerLandmark struct {
 	// lmIdx[v] is v's position in sh.List, -1 for non-landmarks.
 	lmIdx []int32
 
+	// views[li] is landmark sh.List[li]'s tree as G_c's arc tests read
+	// it, fetched from the sh.Tree/sh.Anc maps once per solve.
+	views []lmView
+
 	// rows[ci][li][j] = d(c, r, e_j) for c = ctr.List[ci], r =
 	// sh.List[li], and e_j the j-th edge of the T_c path from c toward
 	// r, j < min(budget, |cr|). nil rows mean r == c or unreachable.
@@ -200,12 +206,20 @@ type centerLandmark struct {
 	buildNanos atomic.Int64
 }
 
+// lmView is one landmark r's BFS tree T_r as bare slices: parent edges
+// and d(r, ·) from the tree, DFS timestamps from its ancestry.
+type lmView struct {
+	parentEdge, dist []int32
+	tin, tout        []int32
+}
+
 // newCenterLandmark allocates the dense §8.2.2 output store; solveOne
 // fills one center's slot at a time.
 func newCenterLandmark(sh *ssrp.Shared, ctr *Centers) *centerLandmark {
 	cl := &centerLandmark{
 		ctr:   ctr,
 		lmIdx: make([]int32, sh.G.NumVertices()),
+		views: make([]lmView, len(sh.List)),
 		rows:  make([][][]int32, len(ctr.List)),
 		prov:  make([]*auxProv, len(ctr.List)),
 	}
@@ -214,6 +228,9 @@ func newCenterLandmark(sh *ssrp.Shared, ctr *Centers) *centerLandmark {
 	}
 	for i, r := range sh.List {
 		cl.lmIdx[r] = int32(i)
+		t := sh.Tree[r]
+		tin, tout := sh.Anc[r].Timestamps()
+		cl.views[i] = lmView{parentEdge: t.ParentEdge, dist: t.Dist, tin: tin, tout: tout}
 	}
 	return cl
 }
@@ -230,27 +247,29 @@ func (cl *centerLandmark) BuildTime() time.Duration {
 	return time.Duration(cl.buildNanos.Load())
 }
 
-// solveOne builds and solves G_c for center index ci, filling the
-// center's dense slot. All written state is owned by ci, so solveOne is
-// safe from any worker and any schedule (barriered fan-out or
-// readiness-gated streaming).
+// solveOne solves G_c for center index ci, filling the center's dense
+// slot. All written state is owned by ci, so solveOne is safe from any
+// worker and any schedule (barriered fan-out or readiness-gated
+// streaming).
 func (cl *centerLandmark) solveOne(sh *ssrp.Shared, ci int, seed seedReader, sc *engine.Scratch) {
 	start := time.Now()
-	rows, ap, sizes := cl.buildOne(sh, cl.ctr.List[ci], seed, sc)
-	cl.rows[ci] = rows
-	cl.prov[ci] = ap
-	cl.nodes.Add(sizes[0])
-	cl.arcs.Add(sizes[1])
+	gc := cl.solveGc(sh, cl.ctr.List[ci], seed, sc)
+	cl.rows[ci] = gc.rows(len(sh.List))
+	if sh.Params.TrackPaths {
+		cl.prov[ci] = gc.prov()
+	}
+	cl.nodes.Add(int64(gc.total))
+	cl.arcs.Add(gc.arcs)
 	cl.buildNanos.Add(time.Since(start).Nanoseconds())
 }
 
-// buildCenterLandmark constructs and solves every per-center auxiliary
-// graph G_c (§8.2.2) as one barriered fan-out — the two barrier
-// schedules' path; the streaming schedule instead feeds solveOne from
-// the ready queue. Centers are independent, so the stage fans out
-// across Params.Parallelism workers, and ctx is observed between
-// centers: a cancelled solve stops after the items already in flight
-// instead of running all |C| Dijkstras to completion.
+// buildCenterLandmark solves every per-center auxiliary graph G_c
+// (§8.2.2) as one barriered fan-out — the two barrier schedules' path;
+// the streaming schedule instead feeds solveOne from the ready queue.
+// Centers are independent, so the stage fans out across
+// Params.Parallelism workers, and ctx is observed between centers: a
+// cancelled solve stops after the items already in flight instead of
+// running all |C| Dijkstras to completion.
 //
 // Node space of G_c: [c] (node 0), [r] per landmark, [r,e] per covered
 // (landmark, prefix-edge) pair. Arcs (Lemma 21/22 case analysis):
@@ -272,133 +291,311 @@ func buildCenterLandmark(ctx context.Context, sh *ssrp.Shared, ctr *Centers, see
 	return cl, nil
 }
 
-// buildOne builds and solves G_c, returning the d(c,r,·) rows (dense,
-// indexed by landmark position in sh.List), the retained provenance
-// (TrackPaths only, else nil), and the graph's (nodes, arcs) size pair.
-// It must not write shared state outside c's own slots: both schedules
-// run it concurrently across centers. sc backs the transient arc
-// builder and covered-edge buffers.
-func (cl *centerLandmark) buildOne(sh *ssrp.Shared, c int32, seed seedReader, sc *engine.Scratch) ([][]int32, *auxProv, [2]int64) {
-	g := sh.G
+// gcLandmark is landmark r's [r] node and its block of [r,e_j] nodes
+// base..base+count-1 in G_c.
+type gcLandmark struct {
+	r, li       int32 // r and its position in sh.List
+	dist        int32 // |cr|
+	node        int32
+	base, count int32
+	// tinC, toutC are r's DFS timestamps in T_c: "e ∈ cr" is "e's T_c
+	// child endpoint is an ancestor of r", an interval test.
+	tinC, toutC int32
+}
+
+// gcGraph is one center's G_c, never materialised: its node tables
+// plus the Dijkstra state over them. Out-arcs are generated when a
+// node is settled, in the order the explicit arc list would have held
+// them (all [c] arcs, then per target [r,e_j] in landmark-major,
+// edge-minor order), so the heap sees the push sequence of a CSR
+// Dijkstra over the same graph and Dist/Parent come out identical,
+// ties included. The int32/int64 arrays are carved from the worker's
+// scratch.
+type gcGraph struct {
+	c     int32
+	seed  seedReader
+	views []lmView
+	lms   []gcLandmark
+	total int32 // node count
+	first int32 // id of the first [r,e] node; covered index k = node − first
+
+	cov        []gcCovered // by covered index
+	byChild    []int32     // covered indices grouped by child, each group in k order
+	byChildOff []int32     // byChild[byChildOff[x]:byChildOff[x+1]] shares child x
+	dist       []int64
+	parent     []int32
+	heap       pqueue.Heap
+	arcs       int64 // out-arcs of every node, settled or not
+}
+
+// gcCovered is one [r,e_j] node as the arc tests read it: the edge e_j,
+// its endpoints u and v, its T_c child endpoint and that child's T_c
+// DFS interval, and the owning landmark's index in lms. One struct per
+// node keeps a test's reads on one cache line.
+type gcCovered struct {
+	edge, u, v int32
+	child      int32
+	tin, tout  int32
+	owner      int32
+}
+
+// solveGc lays out center c's G_c and runs Dijkstra from [c] over its
+// implicit arcs. It must not write shared state outside c's own slots:
+// both schedules run it concurrently across centers. The result is
+// valid until sc's next Reset.
+func (cl *centerLandmark) solveGc(sh *ssrp.Shared, c int32, seed seedReader, sc *engine.Scratch) *gcGraph {
 	ctr := cl.ctr
 	tc := ctr.Tree[c]
-	ancC := ctr.Anc[c]
+	tinC, toutC := ctr.Anc[c].Timestamps()
 	budget := ctr.Budget(ctr.Priority(c))
 
-	type lmInfo struct {
-		r        int32
-		li       int32 // r's position in sh.List
-		node     int32
-		base     int32
-		count    int32
-		pathEdge []int32 // covered prefix edges e_0..e_{count-1} in T_c
-	}
-	infos := make([]lmInfo, 0, len(sh.List))
+	gc := &gcGraph{c: c, seed: seed, views: cl.views, lms: make([]gcLandmark, 0, len(sh.List))}
 	next := int32(1)
 	for li, r := range sh.List {
 		if r == c || !tc.Reachable(r) {
 			continue
 		}
-		infos = append(infos, lmInfo{r: r, li: int32(li), node: next})
+		gc.lms = append(gc.lms, gcLandmark{r: r, li: int32(li), dist: tc.Dist[r], node: next, tinC: tinC[r], toutC: toutC[r]})
 		next++
 	}
-	for idx := range infos {
-		in := &infos[idx]
-		l := tc.Dist[in.r]
-		count := budget
-		if l < count {
-			count = l
-		}
-		in.count = count
-		in.base = next
-		next += count
+	gc.first = next
+	for i := range gc.lms {
+		lm := &gc.lms[i]
+		lm.count = min(budget, lm.dist)
+		lm.base = next
+		next += lm.count
+	}
+	gc.total = next
+	covered := int(gc.total - gc.first)
+	gc.cov = make([]gcCovered, covered)
+	g := sh.G
+	for i := range gc.lms {
+		lm := &gc.lms[i]
 		// The covered edges are the T_c path *prefix*: walk up from r
 		// and keep the first `count` edges (positions 0..count-1 from
 		// the c side).
-		in.pathEdge = sc.Int32(int(count))
-		x := in.r
-		for j := l - 1; j >= 0; j-- {
-			if j < count {
-				in.pathEdge[j] = tc.ParentEdge[x]
+		x := lm.r
+		for j := lm.dist - 1; j >= 0; j-- {
+			if j < lm.count {
+				e := tc.ParentEdge[x]
+				u, v := g.EdgeEndpoints(int(e))
+				gc.cov[lm.base-gc.first+j] = gcCovered{edge: e, u: u, v: v, child: x, tin: tinC[x], tout: toutC[x], owner: int32(i)}
 			}
 			x = tc.Parent[x]
 		}
 	}
-	total := int(next)
-
-	bld := ssrp.AttachedBuilder(sc, total, total*4)
-	for idx := range infos {
-		bld.AddArc(0, infos[idx].node, tc.Dist[infos[idx].r])
+	// Counting sort of the covered nodes by T_c child: the [r',e_j]
+	// out-arcs go exactly to the other nodes sharing e_j.
+	n := g.NumVertices()
+	gc.byChildOff = sc.Int32(n + 1)
+	clear(gc.byChildOff)
+	for k := range gc.cov {
+		gc.byChildOff[gc.cov[k].child+1]++
 	}
-	for idx := range infos {
-		in := &infos[idx]
-		for j := int32(0); j < in.count; j++ {
-			e := in.pathEdge[j]
-			node := in.base + j
-			if w, ok := seed.Get(packCRE(c, in.r, e)); ok {
-				bld.AddArc(0, node, w)
-			}
-			for jdx := range infos {
-				in2 := &infos[jdx]
-				r2 := in2.r
-				if r2 == in.r {
-					continue
-				}
-				dRR := sh.Tree[r2].Dist[in.r] // |r'r|
-				if dRR < 0 {
-					continue
-				}
-				if sh.Anc[r2].EdgeOnRootPath(g, e, in.r) {
-					continue // e on the canonical r'→r path
-				}
-				if !ancC.EdgeOnRootPath(g, e, r2) {
-					bld.AddArc(in2.node, node, dRR)
-				} else if j < in2.count {
-					bld.AddArc(in2.base+j, node, dRR)
-				}
-			}
+	for x := 0; x < n; x++ {
+		gc.byChildOff[x+1] += gc.byChildOff[x]
+	}
+	cursor := sc.Int32(n)
+	copy(cursor, gc.byChildOff[:n])
+	gc.byChild = sc.Int32(covered)
+	for k := range gc.cov {
+		x := gc.cov[k].child
+		gc.byChild[cursor[x]] = int32(k)
+		cursor[x]++
+	}
+
+	gc.dist, gc.parent = sc.Int64(int(gc.total)), sc.Int32(int(gc.total))
+	for v := range gc.dist {
+		gc.dist[v] = dijkstra.Inf
+		gc.parent[v] = -1
+	}
+	gc.run()
+	return gc
+}
+
+// run is Dijkstra from [c] with lazy deletion, generating each settled
+// node's out-arcs on the fly; it then counts the out-arcs of the nodes
+// left unsettled so arcs covers all of G_c. Every [r] hangs off [c]
+// directly, so only [r,e] nodes can be left unsettled.
+func (gc *gcGraph) run() {
+	h := &gc.heap
+	h.Grow(int(gc.total) / 4)
+	gc.dist[0] = 0
+	h.Push(0, 0)
+	for h.Len() > 0 {
+		it := h.Pop()
+		v := it.Value
+		if it.Key != gc.dist[v] {
+			continue // stale entry
+		}
+		switch {
+		case v == 0:
+			gc.arcs += gc.scanCenter()
+		case v < gc.first:
+			gc.arcs += gc.scanLandmark(v-1, it.Key)
+		default:
+			gc.arcs += gc.scanCovered(v-gc.first, it.Key, true)
 		}
 	}
-	sizes := [2]int64{int64(total), int64(bld.NumArcs())}
-	// G_c is build-run-discard (only the rows below survive), so both
-	// the CSR and the Dijkstra result live in the worker scratch.
-	res := bld.FinalizeScratch(sc).RunScratch(0, sc)
+	for v := gc.first; v < gc.total; v++ {
+		if gc.dist[v] == dijkstra.Inf {
+			gc.arcs += gc.scanCovered(v-gc.first, 0, false)
+		}
+	}
+}
 
-	rows := make([][]int32, len(sh.List))
-	for idx := range infos {
-		in := &infos[idx]
-		row := make([]int32, in.count)
-		for j := int32(0); j < in.count; j++ {
-			d := res.Dist[in.base+j]
-			if d >= int64(rp.Inf) {
+func (gc *gcGraph) relax(from, to int32, d int64) {
+	if d < gc.dist[to] {
+		gc.dist[to] = d
+		gc.parent[to] = from
+		gc.heap.Push(d, to)
+	}
+}
+
+// scanCenter relaxes [c]'s out-arcs: [c]→[r] for every landmark, then
+// the §8.2.1 seed arcs [c]→[r,e_j]. [c] is the source, at distance 0.
+func (gc *gcGraph) scanCenter() int64 {
+	var arcs int64
+	for i := range gc.lms {
+		lm := &gc.lms[i]
+		gc.relax(0, lm.node, int64(lm.dist))
+		arcs++
+	}
+	for k := range gc.cov {
+		cv := &gc.cov[k]
+		if w, ok := gc.seed.Get(packCRE(gc.c, gc.lms[cv.owner].r, cv.edge)); ok {
+			gc.relax(0, gc.first+int32(k), int64(w))
+			arcs++
+		}
+	}
+	return arcs
+}
+
+// scanLandmark relaxes [r']'s out-arcs from distance d, for r' =
+// lms[i]: [r,e_j] for every other landmark r with e_j ∉ cr' and e_j ∉
+// r'r, weight |r'r|. It returns how many there are.
+func (gc *gcGraph) scanLandmark(i int32, d int64) int64 {
+	src := &gc.lms[i]
+	view := &gc.views[src.li]
+	var arcs int64
+	for i2 := range gc.lms {
+		dst := &gc.lms[i2]
+		if int32(i2) == i {
+			continue
+		}
+		dRR := view.dist[dst.r]
+		if dRR < 0 {
+			continue
+		}
+		tin, tout := view.tin[dst.r], view.tout[dst.r]
+		lo := dst.base - gc.first
+		block := gc.cov[lo : lo+dst.count]
+		// The edges of the c→r prefix that also lie on cr' are exactly
+		// a prefix of the block (those above the T_c LCA of r and r').
+		j := 0
+		for j < len(block) && block[j].tin <= src.tinC && src.toutC <= block[j].tout {
+			j++
+		}
+		for ; j < len(block); j++ {
+			if onPath(view, &block[j], tin, tout) {
+				continue
+			}
+			arcs++
+			gc.relax(src.node, gc.first+lo+int32(j), d+int64(dRR))
+		}
+	}
+	return arcs
+}
+
+// scanCovered generates [r',e_j]'s out-arcs for covered node k: [r,e_j]
+// for every other landmark r whose covered prefix shares e_j (then e_j
+// ∈ cr' by construction) with e_j ∉ r'r, weight |r'r|. It relaxes them
+// from distance d when relax is set, and returns how many there are
+// either way.
+func (gc *gcGraph) scanCovered(k int32, d int64, relax bool) int64 {
+	i := gc.cov[k].owner
+	src := &gc.lms[i]
+	view := &gc.views[src.li]
+	x := gc.cov[k].child
+	var arcs int64
+	for _, k2 := range gc.byChild[gc.byChildOff[x]:gc.byChildOff[x+1]] {
+		dst := &gc.cov[k2]
+		if dst.owner == i {
+			continue
+		}
+		r := gc.lms[dst.owner].r
+		dRR := view.dist[r]
+		if dRR < 0 {
+			continue
+		}
+		if onPath(view, dst, view.tin[r], view.tout[r]) {
+			continue
+		}
+		arcs++
+		if relax {
+			gc.relax(gc.first+k, gc.first+k2, d+int64(dRR))
+		}
+	}
+	return arcs
+}
+
+// onPath reports whether cv's edge lies on the canonical path from
+// view's landmark to the vertex with T_r timestamps tin, tout: the
+// edge's child endpoint in T_r, found through the parent-edge slice,
+// must be an ancestor of that vertex.
+func onPath(view *lmView, cv *gcCovered, tin, tout int32) bool {
+	var child int32
+	switch {
+	case view.parentEdge[cv.v] == cv.edge:
+		child = cv.v
+	case view.parentEdge[cv.u] == cv.edge:
+		child = cv.u
+	default:
+		return false
+	}
+	return view.tin[child] <= tin && tout <= view.tout[child]
+}
+
+// rows extracts the d(c,r,·) rows, indexed by landmark position in
+// sh.List (nil for r == c and unreachable landmarks).
+func (gc *gcGraph) rows(numLandmarks int) [][]int32 {
+	rows := make([][]int32, numLandmarks)
+	for i := range gc.lms {
+		lm := &gc.lms[i]
+		row := make([]int32, lm.count)
+		for j := range row {
+			if d := gc.dist[lm.base+int32(j)]; d >= int64(rp.Inf) {
 				row[j] = rp.Inf
 			} else {
 				row[j] = int32(d)
 			}
 		}
-		rows[in.li] = row
+		rows[lm.li] = row
 	}
-	var ap *auxProv
-	if sh.Params.TrackPaths {
-		ap = &auxProv{
-			parent:  append([]int32(nil), res.Parent...),
-			nodeOwn: make([]int32, total),
-			nodeIdx: make([]int32, total),
-			base:    make(map[int32]int32, len(infos)),
-			start:   make(map[int32]int32, len(infos)),
-		}
-		ap.nodeOwn[0], ap.nodeIdx[0] = -1, -1
-		for idx := range infos {
-			in := &infos[idx]
-			ap.nodeOwn[in.node], ap.nodeIdx[in.node] = in.r, -1
-			ap.base[in.r], ap.start[in.r] = in.base, 0 // G_c covers the prefix
-			for j := int32(0); j < in.count; j++ {
-				ap.nodeOwn[in.base+j] = in.r
-				ap.nodeIdx[in.base+j] = j
-			}
+	return rows
+}
+
+// prov copies G_c's parent chains and node decode tables out of the
+// scratch for the provenance plane.
+func (gc *gcGraph) prov() *auxProv {
+	ap := &auxProv{
+		parent:  append([]int32(nil), gc.parent...),
+		nodeOwn: make([]int32, gc.total),
+		nodeIdx: make([]int32, gc.total),
+		base:    make(map[int32]int32, len(gc.lms)),
+		start:   make(map[int32]int32, len(gc.lms)),
+	}
+	ap.nodeOwn[0], ap.nodeIdx[0] = -1, -1
+	for i := range gc.lms {
+		lm := &gc.lms[i]
+		ap.nodeOwn[lm.node], ap.nodeIdx[lm.node] = lm.r, -1
+		ap.base[lm.r], ap.start[lm.r] = lm.base, 0 // G_c covers the prefix
+		for j := int32(0); j < lm.count; j++ {
+			ap.nodeOwn[lm.base+j] = lm.r
+			ap.nodeIdx[lm.base+j] = j
 		}
 	}
-	return rows, ap, sizes
+	return ap
 }
 
 // dCR returns d(c, r, e) where e is a graph edge: |cr| when e is off

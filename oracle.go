@@ -171,14 +171,6 @@ type Oracle struct {
 	// rebuildRejects counts rebuild attempts turned away by rebuildSem
 	// (an atomic: it is bumped after mu is released).
 	rebuildRejects atomic.Int64
-	// warmProv pins the warm provenance plane (guarded by mu) — but only
-	// on the fallback path where post-solve compaction failed and the
-	// full shared §8 plane (parent chains, seed table, center forest)
-	// must stay alive as one immortal unit. The normal path compacts the
-	// plane into self-contained per-source records that live and die
-	// with their cache entries, so nothing needs pinning and the byte
-	// budget can actually free memory.
-	warmProv *msrpcore.Solution
 }
 
 // StageTimes is the per-stage latency breakdown of one §8 batch solve
@@ -237,11 +229,8 @@ type OracleStats struct {
 	// plane into self-contained per-source records and contributes those
 	// per entry too. Either way an entry's provenance is freed by LRU
 	// eviction or by a MaxProvenanceBytes budget strip, so the gauge
-	// tracks memory that can actually be reclaimed. (Fallback fine
-	// print: if post-warm compaction fails, the full plane is pinned for
-	// the oracle's lifetime and counted once — recognizable by
-	// ProvenanceCompactedBytes staying 0 after a tracked warm.) 0 on
-	// untracked oracles. Unlike the other counters it is a gauge, not a
+	// tracks memory that can actually be reclaimed. 0 on untracked
+	// oracles. Unlike the other counters it is a gauge, not a
 	// monotone counter.
 	ProvenanceBytes int64
 	// ProvenanceEvictions counts sources whose provenance was dropped by
@@ -257,8 +246,7 @@ type OracleStats struct {
 	ProvenanceRebuildRejects int64
 	// ProvenanceRawBytes and ProvenanceCompactedBytes record the most
 	// recent completed Warm's provenance plane before and after
-	// post-solve compaction (zero before any tracked warm; compacted
-	// stays zero if compaction fell back to pinning the raw plane).
+	// post-solve compaction (zero before any tracked warm).
 	ProvenanceRawBytes       int64
 	ProvenanceCompactedBytes int64
 	// WarmStages is the stage-latency breakdown of the most recent
@@ -333,20 +321,20 @@ func (o *Oracle) Stats() OracleStats {
 		ProvenanceRebuildRejects: o.rebuildRejects.Load(),
 		ProvenanceRawBytes:       provRaw,
 		ProvenanceCompactedBytes: provCompacted,
-		Hits:                  o.hits.Load(),
-		Misses:                o.misses.Load(),
-		Builds:                o.builds.Load(),
-		BuildTime:             time.Duration(o.buildNanos.Load()),
-		Evictions:             o.evictions.Load(),
-		Batches:               o.batches.Load(),
-		BatchQueries:          o.batchQueries.Load(),
-		Warms:                 o.warms.Load(),
-		Rejections:            o.rejections.Load(),
-		Cancellations:         o.cancellations.Load(),
-		WarmStages:            warmStages,
-		WarmPeakSeedPathBytes: warmPeak,
-		WarmCentersReady:      warmReady,
-		WarmCentersOverlapped: warmOverlap,
+		Hits:                     o.hits.Load(),
+		Misses:                   o.misses.Load(),
+		Builds:                   o.builds.Load(),
+		BuildTime:                time.Duration(o.buildNanos.Load()),
+		Evictions:                o.evictions.Load(),
+		Batches:                  o.batches.Load(),
+		BatchQueries:             o.batchQueries.Load(),
+		Warms:                    o.warms.Load(),
+		Rejections:               o.rejections.Load(),
+		Cancellations:            o.cancellations.Load(),
+		WarmStages:               warmStages,
+		WarmPeakSeedPathBytes:    warmPeak,
+		WarmCentersReady:         warmReady,
+		WarmCentersOverlapped:    warmOverlap,
 	}
 }
 
@@ -638,6 +626,10 @@ func (o *Oracle) Result(s int) *Result {
 // σn² build.
 func (o *Oracle) Warm() error { return o.WarmContext(context.Background()) }
 
+// compactProvenance is the post-warm compaction step, a variable only
+// so the package's tests can make it fail.
+var compactProvenance = (*msrpcore.Solution).CompactProvenance
+
 // WarmContext is Warm with cancellation. The §8 pipeline observes ctx
 // between its per-source stage items, so a cancelled warm returns
 // promptly; nothing from a cancelled run enters the cache. The
@@ -688,14 +680,15 @@ func (o *Oracle) WarmContext(ctx context.Context) error {
 		// Compaction replaces the shared §8 plane — parent chains, seed
 		// table, center forest, whose explain reach made warm provenance
 		// one immortal unit — with self-contained per-source records
-		// that the LRU and the byte budget can free individually.
+		// that the LRU and the byte budget can free individually. It
+		// re-explains every winning answer, so a failure means a broken
+		// provenance chain: the warm fails and installs nothing.
 		var rawProvBytes int64
 		if err == nil && sol.Prov != nil {
 			rawProvBytes = sol.Stats.ProvenanceBytes
-			// On error the full plane stays installed and functional;
-			// the fallback below pins it exactly as pre-compaction
-			// oracles did.
-			_ = sol.CompactProvenance()
+			if cerr := compactProvenance(sol); cerr != nil {
+				err = fmt.Errorf("msrp: warm: compacting provenance: %w", cerr)
+			}
 		}
 
 		o.mu.Lock()
@@ -711,20 +704,11 @@ func (o *Oracle) WarmContext(ctx context.Context) error {
 				Assembly:       solveStats.StageAssembly,
 			}
 			o.warmPeakSeedBytes = solveStats.PeakSeedPathBytes
-		o.warmCentersReady = int64(solveStats.CentersReady)
-		o.warmCentersOverlapped = int64(solveStats.CentersOverlapped)
-			switch {
-			case sol.Compact != nil:
+			o.warmCentersReady = int64(solveStats.CentersReady)
+			o.warmCentersOverlapped = int64(solveStats.CentersOverlapped)
+			if sol.Compact != nil {
 				o.provRawBytes = rawProvBytes
 				o.provCompactedBytes = solveStats.ProvenanceBytes
-			case sol.Prov != nil:
-				// Compaction failed: pin the raw plane for the oracle's
-				// lifetime and count it once (zero per-entry weight
-				// below — evicting an entry frees nothing of it).
-				// ProvenanceCompactedBytes staying 0 flags this mode.
-				o.warmProv = sol
-				o.provBytes += rawProvBytes
-				o.provRawBytes = rawProvBytes
 			}
 			for i, s := range o.sources {
 				if _, ok := o.cache[s]; !ok {
@@ -732,9 +716,7 @@ func (o *Oracle) WarmContext(ctx context.Context) error {
 					var pb int64
 					if sol.PerSource[i].TrackPaths {
 						res.ps = sol.PerSource[i]
-						if sol.Compact != nil {
-							pb = sol.PerSource[i].ProvenanceBytes() + sol.Compact[i].Bytes()
-						}
+						pb = sol.PerSource[i].ProvenanceBytes() + sol.Compact[i].Bytes()
 					}
 					o.insertLocked(s, res, pb)
 				}
@@ -980,9 +962,7 @@ func (o *Oracle) build(s int32, pool *engine.Pool) *Result {
 // insertLocked adds s at the LRU head and evicts beyond the bound.
 // provBytes is the provenance footprint an eviction of this entry
 // actually frees: the per-result bytes for a lazy build or a compacted
-// warm entry, 0 for a fallback warm entry (its state belongs to the
-// pinned raw plane, accounted once at warm time). Entries with a
-// nonzero footprint also join the provenance tier, and the byte budget
+// warm entry. Entries with a nonzero footprint also join the provenance tier, and the byte budget
 // is enforced on the way out — so the gauge never exceeds
 // MaxProvenanceBytes, even transiently. Callers hold o.mu.
 func (o *Oracle) insertLocked(s int, res *Result, provBytes int64) {
@@ -1032,10 +1012,7 @@ func (o *Oracle) stripLocked(e *lruEntry) {
 // until the gauge fits MaxProvenanceBytes (0 = unlimited). A single
 // over-budget entry is stripped too — the budget is a hard bound, not
 // advisory; the caller that triggered the insert still holds the
-// unstripped Result and serves its paths. Only per-entry bytes are
-// strippable: on the compaction-fallback path the pinned raw plane can
-// keep the gauge above budget with nothing left to strip. Callers hold
-// o.mu.
+// unstripped Result and serves its paths. Callers hold o.mu.
 func (o *Oracle) enforceProvBudgetLocked() {
 	max := o.opts.MaxProvenanceBytes
 	if max <= 0 {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"msrp/internal/graph"
+	msrpcore "msrp/internal/msrp"
 	"msrp/internal/rp"
 	"msrp/internal/xrand"
 )
@@ -126,6 +127,43 @@ func TestProvenanceBudgetBoundedAndRebuilds(t *testing.T) {
 	}
 	if st := o.Stats(); st.ProvenanceRebuilds == 0 {
 		t.Fatal("path queries against stripped sources triggered no rebuilds")
+	}
+}
+
+// TestWarmCompactionFailureInstallsNothing: post-warm compaction
+// re-explains every winning answer, so its failure is what a broken
+// provenance chain looks like. Such a Warm must fail loudly and leave
+// the oracle exactly as before it — no cached source, no warm counted,
+// no provenance retained — and a later Warm must still succeed.
+func TestWarmCompactionFailureInstallsNothing(t *testing.T) {
+	boom := errors.New("explain failed")
+	compactProvenance = func(*msrpcore.Solution) error { return boom }
+	defer func() { compactProvenance = (*msrpcore.Solution).CompactProvenance }()
+
+	ig := graph.CycleWithChords(xrand.New(3), 96, 10)
+	opts := testOptions(6)
+	opts.SampleBoost = 4
+	opts.TrackPaths = true
+	o, err := NewOracle(WrapGraph(ig), []int{0, 32, 64}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Warm(); !errors.Is(err, boom) {
+		t.Fatalf("Warm with failing compaction: err = %v, want %v", err, boom)
+	}
+	st := o.Stats()
+	if got := o.CachedSources(); got != 0 || st.Warms != 0 || st.ProvenanceBytes != 0 ||
+		st.ProvenanceRawBytes != 0 || st.ProvenanceCompactedBytes != 0 {
+		t.Fatalf("failed warm installed state: cached %d, stats %+v", got, st)
+	}
+
+	compactProvenance = (*msrpcore.Solution).CompactProvenance
+	if err := o.Warm(); err != nil {
+		t.Fatal(err)
+	}
+	st = o.Stats()
+	if got := o.CachedSources(); got != 3 || st.Warms != 1 || st.ProvenanceCompactedBytes == 0 {
+		t.Fatalf("retried warm: cached %d, stats %+v", got, st)
 	}
 }
 
