@@ -190,10 +190,65 @@ func (ix *Index) depthAt(tourPos int32) int32 {
 // Tree returns the underlying BFS tree.
 func (a *Ancestry) Tree() *bfs.Tree { return a.tree }
 
-// Timestamps exposes the DFS entry/exit arrays behind IsAncestor, for
-// hot loops that hoist one side of the comparison out of the loop.
-// The slices are shared with a and must not be modified.
-func (a *Ancestry) Timestamps() (tin, tout []int32) { return a.tin, a.tout }
+// View is one BFS tree and its ancestry as bare slices: parent edges
+// and root distances from the tree, DFS entry/exit timestamps from the
+// ancestry (Tin = -1 marks unreachable vertices). The candidate scans
+// test one path edge against many roots; reading the roots' views by
+// position costs neither a map lookup nor a graph read per test.
+type View struct {
+	ParentEdge, Dist []int32
+	Tin, Tout        []int32
+}
+
+// View returns a's tree and timestamps as a View. The slices alias a
+// and its tree (nothing is copied) and must not be modified.
+func (a *Ancestry) View() View {
+	return View{ParentEdge: a.tree.ParentEdge, Dist: a.tree.Dist, Tin: a.tin, Tout: a.tout}
+}
+
+// Edge is a graph edge with its endpoints read once, so a scan testing
+// it against many views does not go back to the graph per view.
+type Edge struct{ ID, U, V int32 }
+
+// EdgeOf reads edge e's endpoints from g.
+func EdgeOf(g *graph.Graph, e int32) Edge {
+	u, v := g.EdgeEndpoints(int(e))
+	return Edge{ID: e, U: u, V: v}
+}
+
+// Span is a vertex's DFS interval in one tree.
+type Span struct{ Tin, Tout int32 }
+
+// Contains reports whether the vertex with span in is a descendant of
+// sp's vertex (inclusive). sp must belong to a reachable vertex; in may
+// be an unreachable vertex's span (-1, -1), which no such sp contains.
+func (sp Span) Contains(in Span) bool { return sp.Tin <= in.Tin && in.Tout <= sp.Tout }
+
+// Span returns x's DFS interval in w's tree.
+func (w *View) Span(x int32) Span { return Span{w.Tin[x], w.Tout[x]} }
+
+// Child returns e's child endpoint in w's tree — the endpoint whose
+// parent edge is e — or -1 when e is not a tree edge.
+func (w *View) Child(e Edge) int32 {
+	switch {
+	case w.ParentEdge[e.V] == e.ID:
+		return e.V
+	case w.ParentEdge[e.U] == e.ID:
+		return e.U
+	}
+	return -1
+}
+
+// OnPath reports whether e lies on the canonical root→y path, given
+// y's span: EdgeOnRootPath with the graph read and y's timestamps
+// hoisted by the caller. It is exact for every edge and every y with no
+// reachability guard: an unreachable endpoint's parent edge is -1, so a
+// tree edge's child is reachable, and an unreachable y's span (-1, -1)
+// lies inside no reachable vertex's span.
+func (w *View) OnPath(e Edge, y Span) bool {
+	c := w.Child(e)
+	return c >= 0 && w.Span(c).Contains(y)
+}
 
 // IsAncestor reports whether a is an ancestor of b (inclusive: every
 // reachable vertex is an ancestor of itself). Unreachable vertices have

@@ -255,7 +255,8 @@ func TestTimestampsDecideAncestry(t *testing.T) {
 		t.Fatal(err)
 	}
 	anc := NewAncestry(g, bfs.New(g, 0))
-	tin, tout := anc.Timestamps()
+	view := anc.View()
+	tin, tout := view.Tin, view.Tout
 	for x := int32(0); x < 6; x++ {
 		for y := int32(0); y < 6; y++ {
 			want := anc.IsAncestor(x, y)
@@ -267,5 +268,80 @@ func TestTimestampsDecideAncestry(t *testing.T) {
 	}
 	if tin[4] != -1 || tin[5] != -1 {
 		t.Fatalf("unreachable vertices have tin %d, %d, want -1", tin[4], tin[5])
+	}
+}
+
+// viewFamilies are the crosscheck suite's graph families (same
+// generators, same seed) plus a disconnected graph, so unreachable
+// roots' trees, unreachable targets (tin = -1) and edges outside a
+// root's component all occur.
+func viewFamilies(t *testing.T) map[string]*graph.Graph {
+	rng := xrand.New(20200616)
+	b := graph.NewBuilder(14)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 0}, {2, 3}, {4, 5}, {5, 6}, {6, 7}, {7, 4}, {4, 6}, {8, 9}, {10, 11}, {11, 12}} {
+		if err := b.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	disconnected, err := b.Build() // vertex 13 is isolated
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*graph.Graph{
+		"erdos-renyi-sparse": graph.RandomConnected(rng, 26, 40),
+		"erdos-renyi-dense":  graph.RandomConnected(rng, 18, 90),
+		"grid-4x6":           graph.Grid(4, 6),
+		"path-with-chords":   graph.PathWithChords(rng, 24, 6),
+		"cycle-with-chords":  graph.CycleWithChords(rng, 22, 4),
+		"barbell":            graph.Barbell(6, 5),
+		"disconnected":       disconnected,
+	}
+}
+
+// TestViewMatchesAncestry: for every root × edge × target, the view's
+// hoisted tests answer exactly what the graph-reading Ancestry and
+// Tree methods answer — OnPath with no reachability guard, Child like
+// ChildEndpoint, and a reachable vertex's Span containing exactly its
+// descendants. The view aliases the tree and the timestamps.
+func TestViewMatchesAncestry(t *testing.T) {
+	for name, g := range viewFamilies(t) {
+		t.Run(name, func(t *testing.T) {
+			n := int32(g.NumVertices())
+			unreachable := 0
+			for root := int32(0); root < n; root++ {
+				tr := bfs.New(g, int(root))
+				anc := NewAncestry(g, tr)
+				w := anc.View()
+				if &w.Dist[0] != &tr.Dist[0] || &w.ParentEdge[0] != &tr.ParentEdge[0] || &w.Tin[0] != &anc.tin[0] || &w.Tout[0] != &anc.tout[0] {
+					t.Fatal("view copies instead of aliasing")
+				}
+				for id := int32(0); id < int32(g.NumEdges()); id++ {
+					e := EdgeOf(g, id)
+					child, ok := tr.ChildEndpoint(g, id)
+					if got := w.Child(e); got != child || (got >= 0) != ok {
+						t.Fatalf("root %d edge %d: Child %d, ChildEndpoint (%d, %v)", root, id, got, child, ok)
+					}
+					for y := int32(0); y < n; y++ {
+						if got, want := w.OnPath(e, w.Span(y)), anc.EdgeOnRootPath(g, id, y); got != want {
+							t.Fatalf("root %d edge %d target %d: OnPath %v, EdgeOnRootPath %v", root, id, y, got, want)
+						}
+					}
+				}
+				for x := int32(0); x < n; x++ {
+					if !tr.Reachable(x) {
+						unreachable++
+						continue
+					}
+					for y := int32(0); y < n; y++ {
+						if got, want := w.Span(x).Contains(w.Span(y)), anc.IsAncestor(x, y); got != want {
+							t.Fatalf("root %d: Span(%d).Contains(Span(%d)) %v, IsAncestor %v", root, x, y, got, want)
+						}
+					}
+				}
+			}
+			if name == "disconnected" && unreachable == 0 {
+				t.Fatal("disconnected family reached every vertex")
+			}
+		})
 	}
 }

@@ -3,7 +3,10 @@ package msrp
 import (
 	"sort"
 
+	"msrp/internal/bfs"
 	"msrp/internal/engine"
+	"msrp/internal/graph"
+	"msrp/internal/lca"
 	"msrp/internal/rp"
 	"msrp/internal/ssrp"
 )
@@ -38,13 +41,13 @@ func assembleLenSR(ps *ssrp.PerSource, ctr *Centers, sc *sourceCenter, cl *cente
 	// whole sweep.
 	n := sh.G.NumVertices()
 	pathBuf := scr.Int32(n + 1)
-	edgeBuf := scr.Int32(n)
+	edgeBuf := make([]lca.Edge, n)
 	for _, r := range sh.List {
 		if r == ps.S || !ts.Reachable(r) {
 			continue
 		}
 		path := ts.PathInto(pathBuf, r)
-		edges := ts.PathEdgesInto(edgeBuf, r)
+		edges := pathEdges(sh.G, ts, path, edgeBuf)
 		boundaries := ctr.intervalsOn(path)
 		// MTC per edge (term1 through the left center of its interval,
 		// term2 through the right one — shared with the bottleneck
@@ -69,6 +72,17 @@ func assembleLenSR(ps *ssrp.PerSource, ctr *Centers, sc *sourceCenter, cl *cente
 	return lenSR
 }
 
+// pathEdges returns the edges of the canonical T_s path with vertex
+// sequence path, endpoints read once, writing into buf (len ≥
+// len(path)−1).
+func pathEdges(g *graph.Graph, ts *bfs.Tree, path []int32, buf []lca.Edge) []lca.Edge {
+	edges := buf[:len(path)-1]
+	for i := range edges {
+		edges[i] = lca.EdgeOf(g, ts.ParentEdge[path[i+1]])
+	}
+	return edges
+}
+
 // intervalAvoidance returns the best one-hop candidate |sr'| + |r'r|
 // over landmarks r' such that neither canonical leg touches any edge of
 // the interval [lo, hi) of the path to r. The s-side check is O(1): the
@@ -76,20 +90,21 @@ func assembleLenSR(ps *ssrp.PerSource, ctr *Centers, sc *sourceCenter, cl *cente
 // first one, i.e. iff path[lo+1] is an ancestor of r' in T_s (a root
 // path that uses a tree edge uses its whole root-side prefix). The
 // r'-side check walks the interval's edges (O(interval length)).
-func intervalAvoidance(ps *ssrp.PerSource, r int32, path, edges []int32, lo, hi int32) int32 {
+func intervalAvoidance(ps *ssrp.PerSource, r int32, path []int32, edges []lca.Edge, lo, hi int32) int32 {
 	sh := ps.Sh
-	g := sh.G
-	firstChild := path[lo+1]
+	vs := &ps.ViewS
+	first := vs.Span(path[lo+1])
 	best := rp.Inf
-	for _, r2 := range sh.List {
+	for li, r2 := range sh.List {
 		if r2 == r {
 			continue
 		}
-		dsr2 := ps.Ts.Dist[r2]
+		dsr2 := vs.Dist[r2]
 		if dsr2 < 0 {
 			continue
 		}
-		dr2r := sh.Tree[r2].Dist[r]
+		w := &sh.Views[li]
+		dr2r := w.Dist[r]
 		if dr2r < 0 {
 			continue
 		}
@@ -97,13 +112,13 @@ func intervalAvoidance(ps *ssrp.PerSource, r int32, path, edges []int32, lo, hi 
 		if cand >= best {
 			continue // cheap cutoff before the O(len) check
 		}
-		if ps.AncS.IsAncestor(firstChild, r2) {
+		if first.Contains(vs.Span(r2)) {
 			continue // s→r' enters the interval
 		}
-		anc2 := sh.Anc[r2]
+		rs := w.Span(r)
 		clean := true
 		for i := lo; i < hi; i++ {
-			if anc2.EdgeOnRootPath(g, edges[i], r) {
+			if w.OnPath(edges[i], rs) {
 				clean = false
 				break
 			}

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"msrp/internal/engine"
+	"msrp/internal/lca"
 	"msrp/internal/rp"
 	"msrp/internal/ssrp"
 )
@@ -51,7 +52,7 @@ type bottleneckState struct {
 // the §8.1 (dSC) and §8.2 (dCR) answers, given the interval boundary
 // decomposition. Shared by both assembly modes.
 func computeMTCRow(ps *ssrp.PerSource, ctr *Centers, sc *sourceCenter, cl *centerLandmark,
-	r int32, path []int32, edges []int32, boundaries []int32) []int32 {
+	r int32, path []int32, edges []lca.Edge, boundaries []int32) []int32 {
 	sh := ps.Sh
 	ts := ps.Ts
 	l := len(edges)
@@ -73,8 +74,8 @@ func computeMTCRow(ps *ssrp.PerSource, ctr *Centers, sc *sourceCenter, cl *cente
 				}
 			}
 			if !lastInterval {
-				if d2 := sc.dSC(c2, int(i), e); d2 < rp.Inf {
-					if dcr := ctr.Tree[c2].Dist[r]; dcr >= 0 {
+				if d2 := sc.dSC(c2, int(i), ps.ViewS.Span(path[i+1])); d2 < rp.Inf {
+					if dcr := ctr.views[ctr.Index(c2)].Dist[r]; dcr >= 0 {
 						if cand := d2 + dcr; cand < best {
 							best = cand
 						}
@@ -103,26 +104,29 @@ func buildBottleneck(ps *ssrp.PerSource, ctr *Centers, sc *sourceCenter, cl *cen
 	// Pass 1: MTC rows, interval boundaries, argmax-MTC bottlenecks.
 	type lmNode struct {
 		r     int32
+		li    int32 // position in sh.List
 		node  int32 // [r] node id
 		base  int32 // first [s,r,i] node id
-		edges []int32
+		edges []lca.Edge
+		// down[i] is e_i's T_s child endpoint, path[i+1].
+		down []int32
 	}
 	var lms []lmNode
 	next := int32(1)
-	for _, r := range sh.List {
+	for li, r := range sh.List {
 		if r == ps.S || !ts.Reachable(r) {
 			continue
 		}
-		lms = append(lms, lmNode{r: r, node: next})
+		lms = append(lms, lmNode{r: r, li: int32(li), node: next})
 		next++
 	}
-	pathBuf := scr.Int32(g.NumVertices() + 1)
 	for li := range lms {
 		lm := &lms[li]
 		r := lm.r
-		path := ts.PathInto(pathBuf, r) // transient; lm.edges below is retained
-		edges := ts.PathEdgesTo(r)
+		path := ts.PathTo(r)
+		edges := pathEdges(g, ts, path, make([]lca.Edge, len(path)-1))
 		lm.edges = edges
+		lm.down = path[1:]
 		boundaries := ctr.intervalsOn(path)
 		mtc := computeMTCRow(ps, ctr, sc, cl, r, path, edges, boundaries)
 		numIv := len(boundaries) - 1
@@ -174,6 +178,7 @@ func buildBottleneck(ps *ssrp.PerSource, ctr *Centers, sc *sourceCenter, cl *cen
 			node := lm.base + int32(q)
 			i := bidx[q]
 			e := lm.edges[i]
+			xs := ps.ViewS.Span(lm.down[i])
 			// [s] arcs: the direct MTC value and the §7.1 small value.
 			if v := bs.mtcRow[r][i]; v < rp.Inf {
 				bld.AddArc(0, node, v)
@@ -188,14 +193,15 @@ func buildBottleneck(ps *ssrp.PerSource, ctr *Centers, sc *sourceCenter, cl *cen
 				if r2 == r {
 					continue
 				}
-				dRR := sh.Tree[r2].Dist[r]
+				w := &sh.Views[lm2.li]
+				dRR := w.Dist[r]
 				if dRR < 0 {
 					continue
 				}
-				if sh.Anc[r2].EdgeOnRootPath(g, e, r) {
+				if w.OnPath(e, w.Span(r)) {
 					continue // B on the canonical r'→r path
 				}
-				if !ps.AncS.EdgeOnRootPath(g, e, r2) {
+				if !xs.Contains(ps.ViewS.Span(r2)) {
 					// B off the s→r' path: [r'] → [s,r,i].
 					bld.AddArc(lm2.node, node, dRR)
 					continue

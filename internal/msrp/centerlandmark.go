@@ -9,6 +9,7 @@ import (
 	"msrp/internal/cuckoo"
 	"msrp/internal/dijkstra"
 	"msrp/internal/engine"
+	"msrp/internal/lca"
 	"msrp/internal/pqueue"
 	"msrp/internal/rp"
 	"msrp/internal/ssrp"
@@ -173,20 +174,13 @@ func estimateSeedEntries(ps *ssrp.PerSource, ctr *Centers) int {
 // of the canonical (T_c) c→r path.
 //
 // Storage is dense: rows are indexed by center position (Centers.Index)
-// and landmark position (lmIdx) instead of the map-of-maps the first
-// implementation used — dCR sits on the assembly's innermost candidate
-// loop, where two map lookups per call were measurable overhead, and
-// dense slots are also what lets the streaming schedule write each
-// center's output from whichever worker popped it, race-free.
+// and landmark position (Shared.Pos). dCR sits on the assembly's
+// innermost candidate loop, where map lookups per call were measurable
+// overhead, and dense slots are also what lets the streaming schedule
+// write each center's output from whichever worker popped it,
+// race-free.
 type centerLandmark struct {
 	ctr *Centers
-
-	// lmIdx[v] is v's position in sh.List, -1 for non-landmarks.
-	lmIdx []int32
-
-	// views[li] is landmark sh.List[li]'s tree as G_c's arc tests read
-	// it, fetched from the sh.Tree/sh.Anc maps once per solve.
-	views []lmView
 
 	// rows[ci][li][j] = d(c, r, e_j) for c = ctr.List[ci], r =
 	// sh.List[li], and e_j the j-th edge of the T_c path from c toward
@@ -206,33 +200,14 @@ type centerLandmark struct {
 	buildNanos atomic.Int64
 }
 
-// lmView is one landmark r's BFS tree T_r as bare slices: parent edges
-// and d(r, ·) from the tree, DFS timestamps from its ancestry.
-type lmView struct {
-	parentEdge, dist []int32
-	tin, tout        []int32
-}
-
 // newCenterLandmark allocates the dense §8.2.2 output store; solveOne
 // fills one center's slot at a time.
-func newCenterLandmark(sh *ssrp.Shared, ctr *Centers) *centerLandmark {
-	cl := &centerLandmark{
-		ctr:   ctr,
-		lmIdx: make([]int32, sh.G.NumVertices()),
-		views: make([]lmView, len(sh.List)),
-		rows:  make([][][]int32, len(ctr.List)),
-		prov:  make([]*auxProv, len(ctr.List)),
+func newCenterLandmark(ctr *Centers) *centerLandmark {
+	return &centerLandmark{
+		ctr:  ctr,
+		rows: make([][][]int32, len(ctr.List)),
+		prov: make([]*auxProv, len(ctr.List)),
 	}
-	for v := range cl.lmIdx {
-		cl.lmIdx[v] = -1
-	}
-	for i, r := range sh.List {
-		cl.lmIdx[r] = int32(i)
-		t := sh.Tree[r]
-		tin, tout := sh.Anc[r].Timestamps()
-		cl.views[i] = lmView{parentEdge: t.ParentEdge, dist: t.Dist, tin: tin, tout: tout}
-	}
-	return cl
 }
 
 // NumNodes and NumArcs expose the aggregate G_c sizes after the builds
@@ -282,7 +257,7 @@ func (cl *centerLandmark) solveOne(sh *ssrp.Shared, ci int, seed seedReader, sc 
 // All positions are measured in T_c, where the shared-prefix identity
 // again makes an edge's index the same on every path through it.
 func buildCenterLandmark(ctx context.Context, sh *ssrp.Shared, ctr *Centers, seed seedReader) (*centerLandmark, error) {
-	cl := newCenterLandmark(sh, ctr)
+	cl := newCenterLandmark(ctr)
 	if err := sh.Pool.RunScratchCtx(ctx, len(ctr.List), func(i int, sc *engine.Scratch) {
 		cl.solveOne(sh, i, seed, sc)
 	}); err != nil {
@@ -298,9 +273,9 @@ type gcLandmark struct {
 	dist        int32 // |cr|
 	node        int32
 	base, count int32
-	// tinC, toutC are r's DFS timestamps in T_c: "e ∈ cr" is "e's T_c
-	// child endpoint is an ancestor of r", an interval test.
-	tinC, toutC int32
+	// spanC is r's DFS interval in T_c: "e ∈ cr" is "e's T_c child
+	// endpoint is an ancestor of r", an interval test.
+	spanC lca.Span
 }
 
 // gcGraph is one center's G_c, never materialised: its node tables
@@ -314,7 +289,7 @@ type gcLandmark struct {
 type gcGraph struct {
 	c     int32
 	seed  seedReader
-	views []lmView
+	views []lca.View // the landmarks' trees, by position in sh.List
 	lms   []gcLandmark
 	total int32 // node count
 	first int32 // id of the first [r,e] node; covered index k = node − first
@@ -328,15 +303,15 @@ type gcGraph struct {
 	arcs       int64 // out-arcs of every node, settled or not
 }
 
-// gcCovered is one [r,e_j] node as the arc tests read it: the edge e_j,
-// its endpoints u and v, its T_c child endpoint and that child's T_c
-// DFS interval, and the owning landmark's index in lms. One struct per
-// node keeps a test's reads on one cache line.
+// gcCovered is one [r,e_j] node as the arc tests read it: the edge e_j
+// with its endpoints, its T_c child endpoint and that child's T_c DFS
+// interval, and the owning landmark's index in lms. One struct per node
+// keeps a test's reads on one cache line.
 type gcCovered struct {
-	edge, u, v int32
-	child      int32
-	tin, tout  int32
-	owner      int32
+	e     lca.Edge
+	child int32
+	span  lca.Span
+	owner int32
 }
 
 // solveGc lays out center c's G_c and runs Dijkstra from [c] over its
@@ -346,16 +321,16 @@ type gcCovered struct {
 func (cl *centerLandmark) solveGc(sh *ssrp.Shared, c int32, seed seedReader, sc *engine.Scratch) *gcGraph {
 	ctr := cl.ctr
 	tc := ctr.Tree[c]
-	tinC, toutC := ctr.Anc[c].Timestamps()
+	vc := &ctr.views[ctr.Index(c)]
 	budget := ctr.Budget(ctr.Priority(c))
 
-	gc := &gcGraph{c: c, seed: seed, views: cl.views, lms: make([]gcLandmark, 0, len(sh.List))}
+	gc := &gcGraph{c: c, seed: seed, views: sh.Views, lms: make([]gcLandmark, 0, len(sh.List))}
 	next := int32(1)
 	for li, r := range sh.List {
 		if r == c || !tc.Reachable(r) {
 			continue
 		}
-		gc.lms = append(gc.lms, gcLandmark{r: r, li: int32(li), dist: tc.Dist[r], node: next, tinC: tinC[r], toutC: toutC[r]})
+		gc.lms = append(gc.lms, gcLandmark{r: r, li: int32(li), dist: tc.Dist[r], node: next, spanC: vc.Span(r)})
 		next++
 	}
 	gc.first = next
@@ -377,9 +352,7 @@ func (cl *centerLandmark) solveGc(sh *ssrp.Shared, c int32, seed seedReader, sc 
 		x := lm.r
 		for j := lm.dist - 1; j >= 0; j-- {
 			if j < lm.count {
-				e := tc.ParentEdge[x]
-				u, v := g.EdgeEndpoints(int(e))
-				gc.cov[lm.base-gc.first+j] = gcCovered{edge: e, u: u, v: v, child: x, tin: tinC[x], tout: toutC[x], owner: int32(i)}
+				gc.cov[lm.base-gc.first+j] = gcCovered{e: lca.EdgeOf(g, tc.ParentEdge[x]), child: x, span: vc.Span(x), owner: int32(i)}
 			}
 			x = tc.Parent[x]
 		}
@@ -463,7 +436,7 @@ func (gc *gcGraph) scanCenter() int64 {
 	}
 	for k := range gc.cov {
 		cv := &gc.cov[k]
-		if w, ok := gc.seed.Get(packCRE(gc.c, gc.lms[cv.owner].r, cv.edge)); ok {
+		if w, ok := gc.seed.Get(packCRE(gc.c, gc.lms[cv.owner].r, cv.e.ID)); ok {
 			gc.relax(0, gc.first+int32(k), int64(w))
 			arcs++
 		}
@@ -483,21 +456,21 @@ func (gc *gcGraph) scanLandmark(i int32, d int64) int64 {
 		if int32(i2) == i {
 			continue
 		}
-		dRR := view.dist[dst.r]
+		dRR := view.Dist[dst.r]
 		if dRR < 0 {
 			continue
 		}
-		tin, tout := view.tin[dst.r], view.tout[dst.r]
+		rs := view.Span(dst.r)
 		lo := dst.base - gc.first
 		block := gc.cov[lo : lo+dst.count]
 		// The edges of the c→r prefix that also lie on cr' are exactly
 		// a prefix of the block (those above the T_c LCA of r and r').
 		j := 0
-		for j < len(block) && block[j].tin <= src.tinC && src.toutC <= block[j].tout {
+		for j < len(block) && block[j].span.Contains(src.spanC) {
 			j++
 		}
 		for ; j < len(block); j++ {
-			if onPath(view, &block[j], tin, tout) {
+			if view.OnPath(block[j].e, rs) {
 				continue
 			}
 			arcs++
@@ -524,11 +497,11 @@ func (gc *gcGraph) scanCovered(k int32, d int64, relax bool) int64 {
 			continue
 		}
 		r := gc.lms[dst.owner].r
-		dRR := view.dist[r]
+		dRR := view.Dist[r]
 		if dRR < 0 {
 			continue
 		}
-		if onPath(view, dst, view.tin[r], view.tout[r]) {
+		if view.OnPath(dst.e, view.Span(r)) {
 			continue
 		}
 		arcs++
@@ -537,23 +510,6 @@ func (gc *gcGraph) scanCovered(k int32, d int64, relax bool) int64 {
 		}
 	}
 	return arcs
-}
-
-// onPath reports whether cv's edge lies on the canonical path from
-// view's landmark to the vertex with T_r timestamps tin, tout: the
-// edge's child endpoint in T_r, found through the parent-edge slice,
-// must be an ancestor of that vertex.
-func onPath(view *lmView, cv *gcCovered, tin, tout int32) bool {
-	var child int32
-	switch {
-	case view.parentEdge[cv.v] == cv.edge:
-		child = cv.v
-	case view.parentEdge[cv.u] == cv.edge:
-		child = cv.u
-	default:
-		return false
-	}
-	return view.tin[child] <= tin && tout <= view.tout[child]
 }
 
 // rows extracts the d(c,r,·) rows, indexed by landmark position in
@@ -598,30 +554,32 @@ func (gc *gcGraph) prov() *auxProv {
 	return ap
 }
 
-// dCR returns d(c, r, e) where e is a graph edge: |cr| when e is off
-// the canonical (T_c) c→r path, the §8.2.2 value when covered by c's
-// budget, rp.Inf otherwise.
-func (cl *centerLandmark) dCR(sh *ssrp.Shared, c, r int32, e int32) int32 {
+// dCR returns d(c, r, e) for center c and graph edge e: |cr| when e is
+// off the canonical (T_c) c→r path, the §8.2.2 value when covered by
+// c's budget, rp.Inf otherwise.
+func (cl *centerLandmark) dCR(sh *ssrp.Shared, c, r int32, e lca.Edge) int32 {
 	if c == r {
 		return 0
 	}
-	tc := cl.ctr.Tree[c]
-	if !tc.Reachable(r) {
+	ci := cl.ctr.Index(c)
+	if ci < 0 {
 		return rp.Inf
 	}
-	if !cl.ctr.Anc[c].EdgeOnRootPath(sh.G, e, r) {
-		return tc.Dist[r]
+	w := &cl.ctr.views[ci]
+	dr := w.Dist[r]
+	if dr < 0 {
+		return rp.Inf
+	}
+	child := w.Child(e)
+	if child < 0 || !w.Span(child).Contains(w.Span(r)) {
+		return dr
+	}
+	li := sh.Pos(r)
+	if li < 0 {
+		return rp.Inf
 	}
 	// e's index on the T_c path toward r is depth(child)−1 in T_c.
-	child, ok := tc.ChildEndpoint(sh.G, e)
-	if !ok {
-		return rp.Inf
-	}
-	j := tc.Dist[child] - 1
-	ci, li := cl.ctr.Index(c), cl.lmIdx[r]
-	if ci < 0 || li < 0 {
-		return rp.Inf
-	}
+	j := w.Dist[child] - 1
 	row := cl.rows[ci][li]
 	if j < 0 || j >= int32(len(row)) {
 		return rp.Inf

@@ -173,7 +173,7 @@ func TestCenterLandmarkMatchesReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					cl := newCenterLandmark(sh, ctr)
+					cl := newCenterLandmark(ctr)
 					diffs := make([]string, len(ctr.List))
 					unset := make([]int, len(ctr.List))
 					sh.Pool.RunScratch(len(ctr.List), func(ci int, sc *engine.Scratch) {
@@ -194,12 +194,11 @@ func TestCenterLandmarkMatchesReference(t *testing.T) {
 	}
 }
 
-// BenchmarkCenterLandmark times the §8.2.2 stage alone — every center's
-// G_c solved over the pool — on the repo benchmark's instance shape:
-// a random connected graph with n=200, m=800, σ=16 evenly spread
-// sources, at the paper's constants. Preprocessing, the per-source
-// builds and the seed table are built once outside the timed loop.
-func BenchmarkCenterLandmark(b *testing.B) {
+// benchStages builds the repo benchmark's instance shape — a random
+// connected graph with n=200, m=800, σ=16 evenly spread sources, at the
+// paper's constants — and runs the per-source builds, leaving each
+// benchmark to time its own stage.
+func benchStages(b *testing.B) (*ssrp.Shared, *Centers, []*ssrp.PerSource) {
 	const n, m, sigma = 200, 800, 16
 	g := graph.RandomConnected(xrand.New(1), n, m)
 	sources := make([]int32, sigma)
@@ -218,6 +217,15 @@ func BenchmarkCenterLandmark(b *testing.B) {
 		perSrc[i] = sh.NewPerSource(s)
 		perSrc[i].BuildSmallNear()
 	}
+	return sh, ctr, perSrc
+}
+
+// BenchmarkCenterLandmark times the §8.2.2 stage alone — every center's
+// G_c solved over the pool — on the benchStages instance. Preprocessing,
+// the per-source builds and the seed table are built once outside the
+// timed loop.
+func BenchmarkCenterLandmark(b *testing.B) {
+	sh, ctr, perSrc := benchStages(b)
 	seed, _, err := buildSeedTable(context.Background(), sh, perSrc, ctr)
 	if err != nil {
 		b.Fatal(err)
@@ -230,4 +238,60 @@ func BenchmarkCenterLandmark(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(cl.NumArcs()), "arcs/op")
+}
+
+// BenchmarkSourceCenter times the §8.1 stage alone — every source's
+// G_s built and solved over the pool — on the benchStages instance,
+// with the §7.1 graphs built outside the timed loop.
+func BenchmarkSourceCenter(b *testing.B) {
+	sh, ctr, perSrc := benchStages(b)
+	scs := make([]*sourceCenter, len(perSrc))
+	b.ReportAllocs()
+	for b.Loop() {
+		sh.Pool.RunScratch(len(perSrc), func(i int, sc *engine.Scratch) {
+			scs[i] = buildSourceCenter(perSrc[i], ctr, sc)
+		})
+	}
+	arcs := 0
+	for _, sc := range scs {
+		arcs += sc.NumArcs
+	}
+	b.ReportMetric(float64(arcs), "arcs/op")
+}
+
+// BenchmarkAssembly times the per-source assembly alone on the
+// benchStages instance: assembleLenSR, then sweepLandmarks, then the
+// final Combine, per source over the pool — the three stages run in
+// that order, so a CPU profile separates them. The §8.1 and §8.2
+// outputs are built once outside the timed loop.
+func BenchmarkAssembly(b *testing.B) {
+	sh, ctr, perSrc := benchStages(b)
+	scs := make([]*sourceCenter, len(perSrc))
+	sh.Pool.RunScratch(len(perSrc), func(i int, sc *engine.Scratch) {
+		scs[i] = buildSourceCenter(perSrc[i], ctr, sc)
+	})
+	seed, _, err := buildSeedTable(context.Background(), sh, perSrc, ctr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cl, err := buildCenterLandmark(context.Background(), sh, ctr, seed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	stats := make([]ssrp.Stats, len(perSrc))
+	b.ReportAllocs()
+	for b.Loop() {
+		sh.Pool.RunScratch(len(perSrc), func(i int, sc *engine.Scratch) {
+			ps := perSrc[i]
+			ps.SetLenSR(assembleLenSR(ps, ctr, scs[i], cl, sc))
+			sweepLandmarks(ps, maxSweeps)
+			stats[i] = ssrp.Stats{}
+			ps.Combine(&stats[i])
+		})
+	}
+	var scans int64
+	for _, st := range stats {
+		scans += st.NearLargeScans + st.FarScans
+	}
+	b.ReportMetric(float64(scans), "scans/op")
 }

@@ -28,9 +28,11 @@ type Centers struct {
 	// that the edges the assembly actually needs fall inside.
 	budget []int32
 
-	// index maps a vertex id to its position in List (-1 for
-	// non-centers): the dense replacement for the map-of-maps lookups the
-	// §8.2.2 rows used to pay on every dCR call.
+	// views[ci] is center List[ci]'s tree as the §8.1 build and the
+	// assembly's candidate scans read it, and index maps a vertex id to
+	// its position in List (-1 for non-centers): the dense replacements
+	// for the Tree/Anc map lookups on every scanned center.
+	views []lca.View
 	index []int32
 }
 
@@ -47,16 +49,10 @@ func newCenters(sh *ssrp.Shared, rng *xrand.RNG) *Centers {
 		Levels: sample.New(rng, n, sh.Sigma(), sh.Params.SampleBoost, sh.Sources),
 	}
 	c.List = c.Levels.Union()
-	c.index = make([]int32, n)
-	for v := range c.index {
-		c.index[v] = -1
-	}
-	for i, v := range c.List {
-		c.index[v] = int32(i)
-	}
 	forest := bfs.NewForest(g, c.List, sh.Pool)
 	c.Tree = forest.Trees
 	c.Anc = ssrp.BuildAncestries(g, c.List, c.Tree, sh.Pool)
+	c.views, c.index = ssrp.BuildViews(n, c.List, c.Anc)
 	c.budget = make([]int32, c.Levels.MaxK+1)
 	for k := range c.budget {
 		b := int64(budgetFactor * float64(int64(1)<<uint(k)) * sh.X)

@@ -285,7 +285,7 @@ func SolveSharedContext(ctx context.Context, sh *ssrp.Shared) (*Solution, error)
 		err = sh.Pool.PipelineScratchCtx(ctx, len(sources), buildOne, enumerateOne)
 	default:
 		pl := newSeedPlan(sh, ctr)
-		cl = newCenterLandmark(sh, ctr)
+		cl = newCenterLandmark(ctr)
 		err = sh.Pool.PipelineReadyScratchCtx(ctx, len(sources), buildOne,
 			func(i int, sc *engine.Scratch) {
 				enumerateOne(i, sc)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"msrp/internal/bfs"
+	"msrp/internal/lca"
 	"msrp/internal/rp"
 	"msrp/internal/ssrp"
 )
@@ -123,10 +124,15 @@ func (pv *Provenance) landmarkPath(si int, r int32, i int) ([]int32, error) {
 // two MTC terms — the compaction pass keeps the winner, not the search.
 func (pv *Provenance) expandLenSR(si int, r, i, e int32, v int32, depth int) ([]int32, winner, error) {
 	ps := pv.perSrc[si]
-	g := pv.sh.G
-	if depth > g.NumVertices()+1 {
+	sh := pv.sh
+	if depth > sh.G.NumVertices()+1 {
 		return nil, winner{}, fmt.Errorf("msrp: provenance recursion exceeded %d hops (r=%d i=%d)", depth, r, i)
 	}
+	// The combine's on-path tests, hoisted the same way: e's endpoints
+	// for the landmark and center sides, the T_s span of e's child
+	// endpoint (e is on the s→r path) for the s side.
+	ev := lca.EdgeOf(sh.G, e)
+	xs := ps.ViewS.Span(ps.ViewS.Child(ev))
 
 	// 1. The §7.1 small value, expanded from the witness snapshot.
 	if ps.Small.Value(r, int(i)) == v {
@@ -139,24 +145,25 @@ func (pv *Provenance) expandLenSR(si int, r, i, e int32, v int32, depth int) ([]
 	// interval-avoidance candidates and the fixpoint sweeps share. The
 	// prefix is the canonical s→r2 path when e is off it, else the
 	// r2-value's own expansion (strictly smaller value ⇒ termination).
-	for _, r2 := range pv.sh.List {
+	for li, r2 := range sh.List {
 		if r2 == r {
 			continue
 		}
-		dr2r := pv.sh.Tree[r2].Dist[r]
+		w := &sh.Views[li]
+		dr2r := w.Dist[r]
 		if dr2r <= 0 {
 			continue
 		}
-		if pv.sh.Anc[r2].EdgeOnRootPath(g, e, r) {
+		if w.OnPath(ev, w.Span(r)) {
 			continue // suffix would cross e
 		}
-		d2 := ps.DSR(r2, int(i), e)
+		d2 := ps.DSR(r2, int(i), xs)
 		if d2 >= rp.Inf || d2+dr2r != v {
 			continue
 		}
 		var prefix []int32
 		kind := cViaCanon
-		if !ps.AncS.EdgeOnRootPath(g, e, r2) {
+		if !xs.Contains(ps.ViewS.Span(r2)) {
 			prefix = ps.Ts.PathTo(r2)
 		} else {
 			var err error
@@ -165,7 +172,7 @@ func (pv *Provenance) expandLenSR(si int, r, i, e int32, v int32, depth int) ([]
 			}
 			kind = cViaChain
 		}
-		return appendLeg(prefix, pv.sh.Tree[r2].PathTo(r)), winner{kind: kind, r2: r2}, nil
+		return appendLeg(prefix, sh.Tree[r2].PathTo(r)), winner{kind: kind, r2: r2}, nil
 	}
 
 	// 3. MTC term 1: |s c| + d(c,r,e) through a center whose canonical
@@ -174,10 +181,10 @@ func (pv *Provenance) expandLenSR(si int, r, i, e int32, v int32, depth int) ([]
 		if c == r || !ps.Ts.Reachable(c) {
 			continue
 		}
-		if ps.AncS.EdgeOnRootPath(g, e, c) {
+		if xs.Contains(ps.ViewS.Span(c)) {
 			continue
 		}
-		d1 := pv.cl.dCR(pv.sh, c, r, e)
+		d1 := pv.cl.dCR(sh, c, r, ev)
 		if d1 >= rp.Inf || ps.Ts.Dist[c]+d1 != v {
 			continue
 		}
@@ -191,15 +198,16 @@ func (pv *Provenance) expandLenSR(si int, r, i, e int32, v int32, depth int) ([]
 	// 4. MTC term 2: d(s,c,e) + |c r| through a center whose canonical
 	// suffix (in T_c) avoids e; the prefix expands through the §8.1
 	// plane.
-	for _, c := range pv.ctr.List {
-		dcr := pv.ctr.Tree[c].Dist[r]
+	for ci, c := range pv.ctr.List {
+		w := &pv.ctr.views[ci]
+		dcr := w.Dist[r]
 		if dcr < 0 {
 			continue
 		}
-		if pv.ctr.Anc[c].EdgeOnRootPath(g, e, r) {
+		if w.OnPath(ev, w.Span(r)) {
 			continue
 		}
-		d2 := pv.scs[si].dSC(c, int(i), e)
+		d2 := pv.scs[si].dSC(c, int(i), xs)
 		if d2 >= rp.Inf || d2+dcr != v {
 			continue
 		}

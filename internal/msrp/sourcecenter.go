@@ -2,6 +2,7 @@ package msrp
 
 import (
 	"msrp/internal/engine"
+	"msrp/internal/lca"
 	"msrp/internal/rp"
 	"msrp/internal/ssrp"
 )
@@ -15,10 +16,11 @@ type sourceCenter struct {
 	ps  *ssrp.PerSource
 	ctr *Centers
 
-	// start[c] is the first covered path-edge index for center c
-	// (max(0, |sc| − budget)); rows[c][i−start[c]] = d(s,c,e_i).
-	start map[int32]int32
-	rows  map[int32][]int32
+	// start[ci] is the first covered path-edge index for center c =
+	// ctr.List[ci] (max(0, |sc| − budget)); rows[ci][i−start[ci]] =
+	// d(s,c,e_i). rows[ci] is nil for c == s and unreachable c.
+	start []int32
+	rows  [][]int32
 
 	// prov retains the G_s parent chains and node decode tables under
 	// Params.TrackPaths, so the provenance plane can expand a d(s,c,e)
@@ -51,31 +53,36 @@ func buildSourceCenter(ps *ssrp.PerSource, ctr *Centers, scr *engine.Scratch) *s
 	sc := &sourceCenter{
 		ps:    ps,
 		ctr:   ctr,
-		start: make(map[int32]int32, len(ctr.List)),
-		rows:  make(map[int32][]int32, len(ctr.List)),
+		start: make([]int32, len(ctr.List)),
+		rows:  make([][]int32, len(ctr.List)),
 	}
 
 	// Node layout: 0 = [s]; 1..|C| = [c]; then per-center [c,e] blocks.
 	type centerInfo struct {
-		c        int32
-		node     int32 // [c] node id
-		base     int32 // first [c,e] node id
-		start    int32 // first covered path-edge index
-		count    int32
-		pathEdge []int32 // covered edges e_start..e_{|sc|-1}
+		c     int32
+		ci    int32 // position in ctr.List
+		node  int32 // [c] node id
+		base  int32 // first [c,e] node id
+		start int32 // first covered path-edge index
+		count int32
+		dist  int32    // |sc|
+		spanS lca.Span // c's T_s span
+		// pathDown[i-start] is the T_s child endpoint of covered edge
+		// e_i, i = start..|sc|-1.
+		pathDown []int32
 	}
 	infos := make([]centerInfo, 0, len(ctr.List))
 	next := int32(1)
-	for _, c := range ctr.List {
+	for ci, c := range ctr.List {
 		if c == ps.S || !ts.Reachable(c) {
 			continue
 		}
-		infos = append(infos, centerInfo{c: c, node: next})
+		infos = append(infos, centerInfo{c: c, ci: int32(ci), node: next, dist: ts.Dist[c], spanS: ps.ViewS.Span(c)})
 		next++
 	}
 	for idx := range infos {
 		in := &infos[idx]
-		l := ts.Dist[in.c]
+		l := in.dist
 		b := ctr.Budget(ctr.Priority(in.c))
 		start := l - b
 		if start < 0 {
@@ -86,13 +93,13 @@ func buildSourceCenter(ps *ssrp.PerSource, ctr *Centers, scr *engine.Scratch) *s
 		in.base = next
 		next += in.count
 		// Walk up from c collecting the covered suffix of the path.
-		in.pathEdge = scr.Int32(int(in.count))
+		in.pathDown = scr.Int32(int(in.count))
 		x := in.c
 		for i := l - 1; i >= start; i-- {
-			in.pathEdge[i-start] = ts.ParentEdge[x]
+			in.pathDown[i-start] = x
 			x = ts.Parent[x]
 		}
-		sc.start[in.c] = start
+		sc.start[in.ci] = start
 	}
 	total := int(next)
 
@@ -106,7 +113,11 @@ func buildSourceCenter(ps *ssrp.PerSource, ctr *Centers, scr *engine.Scratch) *s
 		in := &infos[idx]
 		for off := int32(0); off < in.count; off++ {
 			i := in.start + off
-			e := in.pathEdge[off]
+			// e's endpoints and its T_s child's span, read once per
+			// edge rather than once per predecessor center.
+			x := in.pathDown[off]
+			e := lca.EdgeOf(g, ts.ParentEdge[x])
+			xs := ps.ViewS.Span(x)
 			node := in.base + off
 			// [s] → [c,e] with the §7.1 small value (target = c).
 			if w := ps.Small.Value(in.c, int(i)); w < rp.Inf {
@@ -114,23 +125,23 @@ func buildSourceCenter(ps *ssrp.PerSource, ctr *Centers, scr *engine.Scratch) *s
 			}
 			// [c'] and [c',e] predecessors.
 			for jdx := range infos {
-				in2 := &infos[jdx]
-				c2 := in2.c
-				if c2 == in.c {
+				if jdx == idx {
 					continue
 				}
-				d2c := ctr.Tree[c2].Dist[in.c] // |c'c|
+				in2 := &infos[jdx]
+				w := &ctr.views[in2.ci]
+				d2c := w.Dist[in.c] // |c'c|
 				if d2c < 0 {
 					continue
 				}
-				if ctr.Anc[c2].EdgeOnRootPath(g, e, in.c) {
+				if w.OnPath(e, w.Span(in.c)) {
 					continue // e on the canonical c'→c path
 				}
-				if !ps.AncS.EdgeOnRootPath(g, e, c2) {
+				if !xs.Contains(in2.spanS) {
 					// e not on s→c': the [c'] node's canonical prefix
 					// avoids e.
 					bld.AddArc(in2.node, node, d2c)
-				} else if i >= in2.start && i < ts.Dist[c2] {
+				} else if i >= in2.start && i < in2.dist {
 					// e on s→c' within c''s covered block.
 					bld.AddArc(in2.base+(i-in2.start), node, d2c)
 				}
@@ -154,7 +165,7 @@ func buildSourceCenter(ps *ssrp.PerSource, ctr *Centers, scr *engine.Scratch) *s
 				row[off] = int32(d)
 			}
 		}
-		sc.rows[in.c] = row
+		sc.rows[in.ci] = row
 	}
 	if ps.TrackPaths {
 		ap := &auxProv{
@@ -179,27 +190,28 @@ func buildSourceCenter(ps *ssrp.PerSource, ctr *Centers, scr *engine.Scratch) *s
 	return sc
 }
 
-// dSC returns d(s, c, e) for path edge e with shared-prefix index i:
-// the canonical |sc| when e is off the s→c path, the §8.1 value when
-// covered, rp.Inf when outside the budget (the lemmas make that case
-// irrelevant w.h.p.).
-func (sc *sourceCenter) dSC(c int32, i int, e int32) int32 {
+// dSC returns d(s, c, e) for path edge e with shared-prefix index i,
+// given xs, the T_s span of e's child endpoint: the canonical |sc| when
+// e is off the s→c path, the §8.1 value when covered, rp.Inf when
+// outside the budget (the lemmas make that case irrelevant w.h.p.).
+func (sc *sourceCenter) dSC(c int32, i int, xs lca.Span) int32 {
 	ps := sc.ps
 	if c == ps.S {
 		return 0
 	}
-	if !ps.Ts.Reachable(c) {
+	dc := ps.ViewS.Dist[c]
+	if dc < 0 {
 		return rp.Inf
 	}
-	if !ps.AncS.EdgeOnRootPath(ps.Sh.G, e, c) {
-		return ps.Ts.Dist[c]
+	if !xs.Contains(ps.ViewS.Span(c)) {
+		return dc
 	}
-	start, ok := sc.start[c]
-	if !ok || int32(i) < start {
+	ci := sc.ctr.Index(c)
+	if ci < 0 || int32(i) < sc.start[ci] {
 		return rp.Inf
 	}
-	row := sc.rows[c]
-	off := int32(i) - start
+	row := sc.rows[ci]
+	off := int32(i) - sc.start[ci]
 	if off >= int32(len(row)) {
 		return rp.Inf
 	}

@@ -18,6 +18,10 @@ type PerSource struct {
 	S    int32
 	Ts   *bfs.Tree
 	AncS *lca.Ancestry
+	// ViewS is T_s as a view. The scans test "e_i on s→v" for a path
+	// edge e_i of T_s, whose child endpoint x is known: that is
+	// ViewS.Span(x).Contains(ViewS.Span(v)), with x's span hoisted.
+	ViewS lca.View
 
 	// Small answers the §7.1 queries; built by BuildSmallNear.
 	Small *SmallNear
@@ -96,10 +100,11 @@ func (sh *Shared) NewPerSource(s int32) *PerSource {
 		panic("ssrp: source was not preprocessed; pass it to NewShared")
 	}
 	return &PerSource{
-		Sh:   sh,
-		S:    s,
-		Ts:   ts,
-		AncS: sh.Anc[s],
+		Sh:    sh,
+		S:     s,
+		Ts:    ts,
+		AncS:  sh.Anc[s],
+		ViewS: sh.Views[sh.pos[s]],
 	}
 }
 
@@ -169,21 +174,23 @@ func (ps *PerSource) SetLenSR(lenSR map[int32][]int32) {
 }
 
 // dSR returns d(s, r, e) where e is the path edge with index i on any
-// canonical path through it. Three cases:
+// canonical path through it and xs is the T_s span of e's child
+// endpoint. Three cases:
 //   - r == s: the empty path avoids everything — 0.
-//   - e not on the canonical s→r path: the canonical path itself avoids
-//     e — |sr|.
+//   - e not on the canonical s→r path (r outside xs): the canonical
+//     path itself avoids e — |sr|.
 //   - otherwise the precomputed replacement length (index identity: e's
 //     index on the s→r path is also i).
-func (ps *PerSource) dSR(r int32, i int, e int32) int32 {
+func (ps *PerSource) dSR(r int32, i int, xs lca.Span) int32 {
 	if r == ps.S {
 		return 0
 	}
-	if !ps.Ts.Reachable(r) {
+	dr := ps.ViewS.Dist[r]
+	if dr < 0 {
 		return inf
 	}
-	if !ps.AncS.EdgeOnRootPath(ps.Sh.G, e, r) {
-		return ps.Ts.Dist[r]
+	if !xs.Contains(ps.ViewS.Span(r)) {
+		return dr
 	}
 	row := ps.LenSR[r]
 	if row == nil || i >= len(row) {
@@ -194,7 +201,7 @@ func (ps *PerSource) dSR(r int32, i int, e int32) int32 {
 
 // DSR exposes dSR for the multi-source provenance plane, which re-walks
 // the candidate space to explain a winning value.
-func (ps *PerSource) DSR(r int32, i int, e int32) int32 { return ps.dSR(r, i, e) }
+func (ps *PerSource) DSR(r int32, i int, xs lca.Span) int32 { return ps.dSR(r, i, xs) }
 
 // Combine runs the per-target assembly (§6 far edges via Algorithm 3,
 // §7.2 near-large via Algorithm 4, §7.1 small-near lookups, plus the
@@ -250,16 +257,18 @@ func (ps *PerSource) CombineTarget(t int32, row []int32, stats *Stats) {
 
 func (ps *PerSource) combineTarget(t int32, row []int32, provRow []provEntry, stats *Stats) {
 	sh := ps.Sh
-	level0 := sh.Landmarks.Level(0)
 	l := ps.Ts.Dist[t]
 	x := t // x = x_{i+1}: child endpoint of e_i during the walk
 	for i := l - 1; i >= 0; i-- {
-		e := ps.Ts.ParentEdge[x]
+		// e_i's endpoints and x's T_s span are read once here, not once
+		// per scanned landmark.
+		e := lca.EdgeOf(sh.G, ps.Ts.ParentEdge[x])
+		xs := ps.ViewS.Span(x)
 		distFromT := l - i
 		if k := sh.farBand(distFromT); k < 0 {
-			ps.combineNear(t, int(i), e, row, provRow, level0, stats)
+			ps.combineNear(t, int(i), e, xs, row, provRow, stats)
 		} else {
-			ps.combineFar(t, int(i), e, k, row, provRow, stats)
+			ps.combineFar(t, int(i), e, xs, k, row, provRow, stats)
 		}
 		x = ps.Ts.Parent[x]
 	}
@@ -267,7 +276,7 @@ func (ps *PerSource) combineTarget(t int32, row []int32, provRow []provEntry, st
 
 // combineNear handles a near edge: the §7.1 small value plus
 // Algorithm 4's scan of L_0 for large replacement paths.
-func (ps *PerSource) combineNear(t int32, i int, e int32, row []int32, provRow []provEntry, level0 []int32, stats *Stats) {
+func (ps *PerSource) combineNear(t int32, i int, e lca.Edge, xs lca.Span, row []int32, provRow []provEntry, stats *Stats) {
 	if v := ps.Small.Value(t, i); v < row[i] {
 		row[i] = v
 		if provRow != nil {
@@ -275,21 +284,22 @@ func (ps *PerSource) combineNear(t int32, i int, e int32, row []int32, provRow [
 		}
 	}
 	sh := ps.Sh
-	for _, r := range level0 {
+	for _, li := range sh.levelPos[0] {
 		if stats != nil {
 			stats.NearLargeScans++
 		}
-		tr := sh.Tree[r]
-		dt := tr.Dist[t]
+		w := &sh.Views[li]
+		dt := w.Dist[t]
 		if dt < 0 {
 			continue
 		}
 		// Lemma 13 guarantees a useful r has e off its canonical path;
 		// checking it also keeps the candidate sound unconditionally.
-		if sh.Anc[r].EdgeOnRootPath(sh.G, e, t) {
+		if w.OnPath(e, w.Span(t)) {
 			continue
 		}
-		d := ps.dSR(r, i, e)
+		r := sh.List[li]
+		d := ps.dSR(r, i, xs)
 		if d >= inf {
 			continue
 		}
@@ -304,25 +314,26 @@ func (ps *PerSource) combineNear(t int32, i int, e int32, row []int32, provRow [
 
 // combineFar handles a k-far edge via Algorithm 3: scan L_k for
 // landmarks within the band's distance threshold of t.
-func (ps *PerSource) combineFar(t int32, i int, e int32, k int, row []int32, provRow []provEntry, stats *Stats) {
+func (ps *PerSource) combineFar(t int32, i int, e lca.Edge, xs lca.Span, k int, row []int32, provRow []provEntry, stats *Stats) {
 	sh := ps.Sh
 	thr := sh.farThreshold(k)
-	for _, r := range sh.landmarksForBand(k) {
+	for _, li := range sh.bandPos(k) {
 		if stats != nil {
 			stats.FarScans++
 		}
-		tr := sh.Tree[r]
-		dt := tr.Dist[t]
+		w := &sh.Views[li]
+		dt := w.Dist[t]
 		if dt < 0 || float64(dt) > thr {
 			continue
 		}
 		// The distance argument (d(e,t) ≥ 2·thr) already implies no
 		// shortest r→t path uses e; the explicit check makes soundness
 		// independent of the floating-point band arithmetic.
-		if sh.Anc[r].EdgeOnRootPath(sh.G, e, t) {
+		if w.OnPath(e, w.Span(t)) {
 			continue
 		}
-		d := ps.dSR(r, i, e)
+		r := sh.List[li]
+		d := ps.dSR(r, i, xs)
 		if d >= inf {
 			continue
 		}

@@ -35,6 +35,14 @@ type Shared struct {
 	Tree map[int32]*bfs.Tree
 	Anc  map[int32]*lca.Ancestry
 
+	// Views[li] is landmark List[li]'s tree as the candidate scans read
+	// it, taken once from Tree and Anc. pos[v] is v's position in List
+	// (-1 for non-landmarks); levelPos[k] lists L_k by List position, in
+	// Landmarks.Level(k) order.
+	Views    []lca.View
+	pos      []int32
+	levelPos [][]int32
+
 	// Pool is the engine worker pool shared by every parallel stage of
 	// this instance, sized by Params.Parallelism. Its scratch free list
 	// carries per-worker buffers from stage to stage.
@@ -100,7 +108,32 @@ func NewShared(g *graph.Graph, sources []int32, p Params) (*Shared, error) {
 	forest := bfs.NewForest(g, sh.List, sh.Pool)
 	sh.Tree = forest.Trees
 	sh.Anc = BuildAncestries(g, sh.List, sh.Tree, sh.Pool)
+	sh.Views, sh.pos = BuildViews(n, sh.List, sh.Anc)
+	sh.levelPos = make([][]int32, sh.Landmarks.MaxK+1)
+	for k := range sh.levelPos {
+		level := sh.Landmarks.Level(k)
+		sh.levelPos[k] = make([]int32, len(level))
+		for j, r := range level {
+			sh.levelPos[k][j] = sh.pos[r]
+		}
+	}
 	return sh, nil
+}
+
+// BuildViews returns the roots' views by position in roots, and the
+// vertex → position index over n vertices (-1 for non-roots). Shared
+// here and by the §8 center family.
+func BuildViews(n int, roots []int32, anc map[int32]*lca.Ancestry) ([]lca.View, []int32) {
+	views := make([]lca.View, len(roots))
+	pos := make([]int32, n)
+	for v := range pos {
+		pos[v] = -1
+	}
+	for i, r := range roots {
+		views[i] = anc[r].View()
+		pos[r] = int32(i)
+	}
+	return views, pos
 }
 
 // BuildAncestries constructs one ancestry index per root, sharded
@@ -170,13 +203,18 @@ func (sh *Shared) farThreshold(k int) float64 {
 	return sh.X * float64(int64(1)<<uint(k))
 }
 
-// landmarksForBand returns the landmark set scanned for far band k:
-// L_k normally, the dense L_0 under the FlatLandmarks ablation.
-func (sh *Shared) landmarksForBand(k int) []int32 {
+// Pos returns v's position in List (the index of its view), or -1
+// when v is not a landmark.
+func (sh *Shared) Pos(v int32) int32 { return sh.pos[v] }
+
+// bandPos returns the landmark set scanned for far band k, by List
+// position: L_k normally, the dense L_0 under the FlatLandmarks
+// ablation.
+func (sh *Shared) bandPos(k int) []int32 {
 	if sh.Params.FlatLandmarks {
-		return sh.Landmarks.Level(0)
+		return sh.levelPos[0]
 	}
-	return sh.Landmarks.Level(k)
+	return sh.levelPos[k]
 }
 
 func intCeil(x float64) int {

@@ -132,13 +132,14 @@ func buildSmallNear(ps *PerSource, sc *engine.Scratch) *SmallNear {
 		x := t // x = x_{i+1} while scanning position i
 		for i := l - 1; i >= start; i-- {
 			e := ts.ParentEdge[x]
+			xs := ps.ViewS.Span(x) // e on s→v iff x is an ancestor of v
 			teNode := base + (i - start)
 			for j, v := range nbrs {
 				ge := ids[j]
 				if ge == e || !ts.Reachable(v) {
 					continue
 				}
-				if !ps.AncS.EdgeOnRootPath(g, e, v) {
+				if !xs.Contains(ps.ViewS.Span(v)) {
 					b.AddArc(v, teNode, 1)
 				} else if i >= sn.startIdx[v] {
 					// e is a near edge on the s→v path: its index there
