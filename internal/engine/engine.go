@@ -59,8 +59,8 @@ func New(workers int) *Pool {
 func (p *Pool) Workers() int { return p.workers }
 
 // Steals returns how many range transfers the work-stealing scheduler
-// has performed over the pool's lifetime — across Run, RunScratch, and
-// Pipeline entry points. Steal accounting is observability for the
+// has performed over the pool's lifetime — across Run, RunScratch and
+// their Ctx variants. Steal accounting is observability for the
 // skewed-workload tests and experiments (a zero count on a skewed
 // workload means the scheduler degraded to static partitioning); it is
 // one relaxed atomic increment per successful steal, far off any hot

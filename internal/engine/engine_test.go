@@ -79,7 +79,8 @@ func TestDeterminism(t *testing.T) {
 // if the other worker steals it — all of it, including the range's
 // last item (the ceil-half rounding). If stealing is broken or a tail
 // item gets stranded, the test deadlocks and the suite's timeout
-// reports it loudly.
+// reports it loudly. The pool's steal counter must record the
+// transfers.
 func TestForcedSteal(t *testing.T) {
 	const n = 1024
 	const workers = 2
@@ -93,7 +94,8 @@ func TestForcedSteal(t *testing.T) {
 	release := make(chan struct{})
 	var done atomic.Int64       // completions outside worker 0's first chunk
 	exec := make([]*Scratch, n) // which worker's scratch ran each item
-	New(workers).RunScratch(n, func(i int, s *Scratch) {
+	p := New(workers)
+	p.RunScratch(n, func(i int, s *Scratch) {
 		exec[i] = s
 		switch {
 		case i == 0:
@@ -116,6 +118,9 @@ func TestForcedSteal(t *testing.T) {
 		if exec[i] == exec[0] {
 			t.Fatalf("item %d ran on the blocked worker", i)
 		}
+	}
+	if p.Steals() == 0 {
+		t.Fatal("forced steal recorded no steals")
 	}
 }
 

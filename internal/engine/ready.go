@@ -9,18 +9,25 @@ import (
 
 // Readiness-gated pipeline scheduling.
 //
-// PipelineScratchCtx (pipeline.go) covers the dependency shape "item
-// i's stage B needs item i's stage A". The MSRP solve's last barrier —
-// §8.2.1 seed enumeration feeding the §8.2.2 per-center Dijkstras —
-// has a shape one step looser: a stage-C item (a center) depends on a
-// *subset* of the A/B items (the sources that can contribute seed
-// entries to it), and that subset is known only as a conservative
-// over-approximation. No index arithmetic can express that, so the
-// dependency edge becomes explicit: the caller tracks when each C item
-// becomes runnable and publishes it through a ReadyQueue; workers that
-// run out of A/B work drain the queue while other A/B items are still
-// in flight. The barrier between the stage families disappears without
-// the engine knowing anything about centers or seed tables.
+// The MSRP solve has two dependency shapes, and this pipeline follows
+// exactly those, with no stage barrier:
+//
+//   - Item i's stage B needs item i's stage A, and nothing else (a
+//     source's §8.2.1 seed enumeration needs that source's §7.1/§8.1
+//     build). The two stages run fused and depth-first: the worker that
+//     finishes A(i) runs B(i) next. At most one item per worker sits
+//     between its stages, so state produced by A and released by B
+//     peaks at Θ(P·aux) instead of Θ(n·aux), and A's output is still
+//     cache-hot when B reads it.
+//   - A stage-C item (a §8.2.2 center) depends on a *subset* of the A/B
+//     items — the sources that can contribute seed entries to it —
+//     known only as a conservative over-approximation. No index
+//     arithmetic can express that, so the dependency edge is explicit:
+//     the caller tracks when each C item becomes runnable and publishes
+//     it through a ReadyQueue; workers that run out of A/B work drain
+//     the queue while other A/B items are still in flight.
+//
+// The engine knows nothing about sources, centers or seed tables.
 
 // ReadyQueue is the hand-off between a pipeline's A/B stages and its
 // readiness-gated stage C: a FIFO of stage-C item indices that have
@@ -110,7 +117,7 @@ func (q *ReadyQueue) abort() {
 
 // PipelineReadyScratchCtx executes a three-stage, dependency-aware
 // schedule: stageA(i) then stageB(i) for every i in [0, nAB) — fused
-// depth-first per item exactly as in PipelineScratchCtx — plus
+// depth-first per item, each stage on a freshly Reset scratch — plus
 // stageC(j) for every j the ReadyQueue marks runnable (all rq.Total()
 // of them, unless cancelled). The call returns once every A/B item and
 // every stage-C item has completed.
@@ -120,9 +127,8 @@ func (q *ReadyQueue) abort() {
 // draining them first maximizes downstream readiness), and switches to
 // the ready queue when the A/B space is exhausted — while other
 // workers are still *inside* their A/B items. That tail is where the
-// cross-family overlap happens, and it is exactly the window the old
-// stop-the-world barrier wasted: the schedule's C work starts as soon
-// as any worker runs dry, not when the slowest A/B item finishes.
+// cross-family overlap happens: C work starts as soon as any worker
+// runs dry, not when the slowest A/B item finishes.
 // Workers parked on an empty queue are woken by Mark, by the final
 // pop, or by cancellation.
 //

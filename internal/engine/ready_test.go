@@ -7,9 +7,10 @@ import (
 )
 
 // TestReadyPipelineCoversEveryItem: every A/B item runs both stages
-// exactly once (B after its own A), and every marked C item runs
-// exactly once, never before its Mark — across worker counts, shapes,
-// and mark origins (pre-marked vs marked from stage B).
+// exactly once (B right after its own A, on the same worker), and
+// every marked C item runs exactly once, never before its Mark —
+// across worker counts, shapes, and mark origins (pre-marked vs marked
+// from stage B).
 func TestReadyPipelineCoversEveryItem(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8} {
 		for _, shape := range []struct{ nAB, nC int }{
@@ -17,6 +18,7 @@ func TestReadyPipelineCoversEveryItem(t *testing.T) {
 		} {
 			aRan := make([]atomic.Int32, shape.nAB)
 			bRan := make([]atomic.Int32, shape.nAB)
+			aScratch := make([]*Scratch, shape.nAB)
 			cRan := make([]atomic.Int32, shape.nC)
 			marked := make([]atomic.Bool, shape.nC)
 			rq := NewReadyQueue(shape.nC)
@@ -32,10 +34,16 @@ func TestReadyPipelineCoversEveryItem(t *testing.T) {
 				rq.Mark(j)
 			}
 			err := New(workers).PipelineReadyScratchCtx(context.Background(), shape.nAB,
-				func(i int, _ *Scratch) { aRan[i].Add(1) },
-				func(i int, _ *Scratch) {
+				func(i int, s *Scratch) {
+					aScratch[i] = s
+					aRan[i].Add(1)
+				},
+				func(i int, s *Scratch) {
 					if aRan[i].Load() != 1 {
 						t.Errorf("workers=%d %+v: B(%d) before its A", workers, shape, i)
+					}
+					if aScratch[i] != s {
+						t.Errorf("workers=%d %+v: A(%d) and B(%d) ran on different workers", workers, shape, i, i)
 					}
 					bRan[i].Add(1)
 					// Item i marks the C items congruent to it beyond
@@ -230,6 +238,41 @@ func TestReadyPipelineCtxCancelWakesParkedWorkers(t *testing.T) {
 	}
 	if cRan.Load() != 0 {
 		t.Fatalf("stage C ran %d unmarked items", cRan.Load())
+	}
+}
+
+// TestReadyPipelineCtxCancelInStageC pins cancellation inside the
+// readiness-gated stage: at workers=1, with every C item ready up
+// front and stage C cancelling the run on its k-th item, exactly k C
+// items run and the call reports context.Canceled. The queue's abort
+// arrives asynchronously, so the single worker would keep popping if
+// the C loop stopped checking ctx itself.
+func TestReadyPipelineCtxCancelInStageC(t *testing.T) {
+	const nAB, nC, k = 3, 1000, 4
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rq := NewReadyQueue(nC)
+	for j := 0; j < nC; j++ {
+		rq.Mark(j)
+	}
+	var abRan, cRan int
+	err := New(1).PipelineReadyScratchCtx(ctx, nAB,
+		func(i int, _ *Scratch) {},
+		func(i int, _ *Scratch) { abRan++ },
+		rq,
+		func(j int, _ *Scratch) {
+			if cRan++; cRan == k {
+				cancel()
+			}
+		})
+	if err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if abRan != nAB {
+		t.Fatalf("%d of %d A/B items ran before stage C", abRan, nAB)
+	}
+	if cRan != k {
+		t.Fatalf("stage C ran %d items, want exactly %d (cancelled on item %d)", cRan, k, k)
 	}
 }
 

@@ -1,7 +1,6 @@
 package msrp
 
 import (
-	"context"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -14,17 +13,6 @@ import (
 	"msrp/internal/rp"
 	"msrp/internal/ssrp"
 )
-
-// seedReader is the §8.2.1 seed table as its consumers see it: O(1)
-// worst-case keyed lookups plus the footprint accounting. Both the
-// barriered flat cuckoo.Table and the streaming cuckoo.Partitioned
-// satisfy it, so the §8.2.2 build and the provenance plane are
-// schedule-agnostic.
-type seedReader interface {
-	Get(key uint64) (int32, bool)
-	Len() int
-	Bytes() int64
-}
 
 // Key packing for the (center, landmark, edge) seed table (§8.2.1).
 // 21 bits for each vertex id and 22 for the edge id fit exactly in 64.
@@ -48,65 +36,22 @@ func checkPackable(n, m int) error {
 	return nil
 }
 
-// buildSeedTable implements §8.2.1: enumerate every small replacement
-// path from every source to every landmark (the §7.1 Dijkstra's
-// predecessor chains), and for every center c sitting on such a path
-// record the length of its c→r suffix. The table entry (c, r, e) → w
-// later becomes the [c]→[r,e] arc of G_c: a concrete e-avoiding c→r
-// walk, needed because small replacement paths have no long suffix for
-// the landmark sampling to hit.
+// buildSeedShard implements §8.2.1 for one source: enumerate every
+// small replacement path from the source to every landmark (the §7.1
+// Dijkstra's predecessor chains), and for every center c sitting on
+// such a path record the length of its c→r suffix. The table entry
+// (c, r, e) → w later becomes the [c]→[r,e] arc of G_c: a concrete
+// e-avoiding c→r walk, needed because small replacement paths have no
+// long suffix for the landmark sampling to hit.
 //
-// The table is the paper's designated cuckoo-hash use: Θ(σn) paths may
-// produce entries and lookups must stay O(1) worst case during the
-// G_c construction (internal/cuckoo, Lemma 5).
-//
-// The build is sharded: sources are independent during enumeration, so
-// each engine item fills a private presized shard, and the shards are
-// merged into one presized table afterwards. Because the merged value
-// for a key is the minimum over all shards and min is commutative and
-// idempotent, the merged *contents* are identical for every worker
-// count and schedule; because shards are merged in source order and
-// each shard's build is deterministic, even the merged table's layout
-// is fixed. The returned rehash count (shards + merge) is the E9/E13
-// cascade observability: with presizing it stays at zero.
-func buildSeedTable(ctx context.Context, sh *ssrp.Shared, perSrc []*ssrp.PerSource, ctr *Centers) (*cuckoo.Table, int, error) {
-	shards := make([]*cuckoo.Table, len(perSrc))
-	if err := sh.Pool.RunScratchCtx(ctx, len(perSrc), func(i int, sc *engine.Scratch) {
-		shards[i] = buildSeedShard(perSrc[i], ctr, sc)
-	}); err != nil {
-		return nil, 0, err
-	}
-	merged, rehashes := mergeSeedShards(shards)
-	return merged, rehashes, nil
-}
-
-// mergeSeedShards folds the per-source shards into one presized table
-// with MinPut, in source order, and returns it with the total rehash
-// count (shards + merge) — the E9/E13 cascade observability. The solve
-// pipeline calls this after its per-source build/enumerate stages (its
-// only cross-source barrier); buildSeedTable wraps it for the barrier
-// composition the seed-table tests exercise.
-func mergeSeedShards(shards []*cuckoo.Table) (*cuckoo.Table, int) {
-	rehashes := 0
-	total := 0
-	for _, shard := range shards {
-		total += shard.Len()
-		rehashes += shard.Rehashes()
-	}
-	merged := cuckoo.New(total)
-	for _, shard := range shards {
-		shard.Range(func(key uint64, val int32) bool {
-			merged.MinPut(key, val)
-			return true
-		})
-	}
-	return merged, rehashes + merged.Rehashes()
-}
-
-// buildSeedShard enumerates one source's small paths into a private
-// table presized by estimateSeedEntries. The path and edge expansions
-// run through scratch buffers sized once per item, so the Θ(n) sweep
-// performs no per-path allocation.
+// The seed table is the paper's designated cuckoo-hash use: Θ(σn)
+// paths may produce entries and lookups must stay O(1) worst case
+// during the G_c construction (internal/cuckoo, Lemma 5). Each source
+// fills a private shard presized by estimateSeedEntries; the solve's
+// streaming merge (seedplan.go) folds the shards into the partitioned
+// table. The path and edge expansions run through scratch buffers
+// sized once per item, so the Θ(n) sweep performs no per-path
+// allocation.
 func buildSeedShard(ps *ssrp.PerSource, ctr *Centers, sc *engine.Scratch) *cuckoo.Table {
 	table := cuckoo.New(estimateSeedEntries(ps, ctr))
 	n := ps.Sh.G.NumVertices()
@@ -216,35 +161,16 @@ func (cl *centerLandmark) NumNodes() int64 { return cl.nodes.Load() }
 func (cl *centerLandmark) NumArcs() int64  { return cl.arcs.Load() }
 
 // BuildTime returns the per-center build wall time summed over items —
-// the StageCenterLandmark measure, comparable across schedules because
-// it is unaffected by how the items interleave with other stages.
+// the StageCenterLandmark measure, unaffected by how the items
+// interleave with other stages.
 func (cl *centerLandmark) BuildTime() time.Duration {
 	return time.Duration(cl.buildNanos.Load())
 }
 
-// solveOne solves G_c for center index ci, filling the center's dense
-// slot. All written state is owned by ci, so solveOne is safe from any
-// worker and any schedule (barriered fan-out or readiness-gated
-// streaming).
-func (cl *centerLandmark) solveOne(sh *ssrp.Shared, ci int, seed seedReader, sc *engine.Scratch) {
-	start := time.Now()
-	gc := cl.solveGc(sh, cl.ctr.List[ci], seed, sc)
-	cl.rows[ci] = gc.rows(len(sh.List))
-	if sh.Params.TrackPaths {
-		cl.prov[ci] = gc.prov()
-	}
-	cl.nodes.Add(int64(gc.total))
-	cl.arcs.Add(gc.arcs)
-	cl.buildNanos.Add(time.Since(start).Nanoseconds())
-}
-
-// buildCenterLandmark solves every per-center auxiliary graph G_c
-// (§8.2.2) as one barriered fan-out — the two barrier schedules' path;
-// the streaming schedule instead feeds solveOne from the ready queue.
-// Centers are independent, so the stage fans out across
-// Params.Parallelism workers, and ctx is observed between centers: a
-// cancelled solve stops after the items already in flight instead of
-// running all |C| Dijkstras to completion.
+// solveOne solves the auxiliary graph G_c (§8.2.2) of center index ci,
+// filling the center's dense slot. All written state is owned by ci,
+// so solveOne is safe from any worker; the solve feeds it from the
+// engine's ready queue once the center's seed partition is frozen.
 //
 // Node space of G_c: [c] (node 0), [r] per landmark, [r,e] per covered
 // (landmark, prefix-edge) pair. Arcs (Lemma 21/22 case analysis):
@@ -256,14 +182,16 @@ func (cl *centerLandmark) solveOne(sh *ssrp.Shared, ci int, seed seedReader, sc 
 //
 // All positions are measured in T_c, where the shared-prefix identity
 // again makes an edge's index the same on every path through it.
-func buildCenterLandmark(ctx context.Context, sh *ssrp.Shared, ctr *Centers, seed seedReader) (*centerLandmark, error) {
-	cl := newCenterLandmark(ctr)
-	if err := sh.Pool.RunScratchCtx(ctx, len(ctr.List), func(i int, sc *engine.Scratch) {
-		cl.solveOne(sh, i, seed, sc)
-	}); err != nil {
-		return nil, err
+func (cl *centerLandmark) solveOne(sh *ssrp.Shared, ci int, seed *cuckoo.Partitioned, sc *engine.Scratch) {
+	start := time.Now()
+	gc := cl.solveGc(sh, cl.ctr.List[ci], seed, sc)
+	cl.rows[ci] = gc.rows(len(sh.List))
+	if sh.Params.TrackPaths {
+		cl.prov[ci] = gc.prov()
 	}
-	return cl, nil
+	cl.nodes.Add(int64(gc.total))
+	cl.arcs.Add(gc.arcs)
+	cl.buildNanos.Add(time.Since(start).Nanoseconds())
 }
 
 // gcLandmark is landmark r's [r] node and its block of [r,e_j] nodes
@@ -288,7 +216,7 @@ type gcLandmark struct {
 // scratch.
 type gcGraph struct {
 	c     int32
-	seed  seedReader
+	seed  *cuckoo.Partitioned
 	views []lca.View // the landmarks' trees, by position in sh.List
 	lms   []gcLandmark
 	total int32 // node count
@@ -316,9 +244,9 @@ type gcCovered struct {
 
 // solveGc lays out center c's G_c and runs Dijkstra from [c] over its
 // implicit arcs. It must not write shared state outside c's own slots:
-// both schedules run it concurrently across centers. The result is
+// the solve runs it concurrently across centers. The result is
 // valid until sc's next Reset.
-func (cl *centerLandmark) solveGc(sh *ssrp.Shared, c int32, seed seedReader, sc *engine.Scratch) *gcGraph {
+func (cl *centerLandmark) solveGc(sh *ssrp.Shared, c int32, seed *cuckoo.Partitioned, sc *engine.Scratch) *gcGraph {
 	ctr := cl.ctr
 	tc := ctr.Tree[c]
 	vc := &ctr.views[ctr.Index(c)]

@@ -1,11 +1,11 @@
 package msrp
 
 import (
-	"context"
 	"fmt"
 	"slices"
 	"testing"
 
+	"msrp/internal/cuckoo"
 	"msrp/internal/dijkstra"
 	"msrp/internal/engine"
 	"msrp/internal/graph"
@@ -20,7 +20,7 @@ import (
 // (solveGc); this is its test oracle, and must stay a literal
 // transcription of the Lemma 21/22 arc list rather than share code
 // with the implicit version.
-func referenceGc(sh *ssrp.Shared, ctr *Centers, c int32, seed seedReader) (rows [][]int32, res *dijkstra.Result, nodes, arcs int) {
+func referenceGc(sh *ssrp.Shared, ctr *Centers, c int32, seed *cuckoo.Partitioned) (rows [][]int32, res *dijkstra.Result, nodes, arcs int) {
 	g := sh.G
 	tc := ctr.Tree[c]
 	ancC := ctr.Anc[c]
@@ -110,7 +110,7 @@ func referenceGc(sh *ssrp.Shared, ctr *Centers, c int32, seed seedReader) (rows 
 // compareGc diffs one center's implicit solve against the explicit
 // reference ("" means identical) and counts the nodes it left
 // unsettled.
-func compareGc(sh *ssrp.Shared, ctr *Centers, cl *centerLandmark, c int32, seed seedReader, sc *engine.Scratch) (string, int) {
+func compareGc(sh *ssrp.Shared, ctr *Centers, cl *centerLandmark, c int32, seed *cuckoo.Partitioned, sc *engine.Scratch) (string, int) {
 	wantRows, want, wantNodes, wantArcs := referenceGc(sh, ctr, c, seed)
 	gc := cl.solveGc(sh, c, seed, sc)
 	unsettled := 0
@@ -158,7 +158,7 @@ func TestCenterLandmarkMatchesReference(t *testing.T) {
 		t.Run(f.name, func(t *testing.T) {
 			for _, par := range []int{1, 2, 8} {
 				for _, track := range []bool{false, true} {
-					sh, err := ssrp.NewShared(f.g, f.sources, paramsForSchedule(77, par, "stream", track))
+					sh, err := ssrp.NewShared(f.g, f.sources, sweepParams(par, track))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -169,10 +169,7 @@ func TestCenterLandmarkMatchesReference(t *testing.T) {
 						ps.BuildSmallNear()
 						perSrc = append(perSrc, ps)
 					}
-					seed, _, err := buildSeedTable(context.Background(), sh, perSrc, ctr)
-					if err != nil {
-						t.Fatal(err)
-					}
+					seed, _ := seedTableForTest(sh, ctr, perSrc)
 					cl := newCenterLandmark(ctr)
 					diffs := make([]string, len(ctr.List))
 					unset := make([]int, len(ctr.List))
@@ -192,6 +189,16 @@ func TestCenterLandmarkMatchesReference(t *testing.T) {
 	if unsettled == 0 {
 		t.Fatal("no family leaves a G_c node unsettled: the count-only arc pass is untested")
 	}
+}
+
+// centerLandmarkForTest solves every center's G_c over the pool, as the
+// solve's stage C does once each center's seed partition is frozen.
+func centerLandmarkForTest(sh *ssrp.Shared, ctr *Centers, seed *cuckoo.Partitioned) *centerLandmark {
+	cl := newCenterLandmark(ctr)
+	sh.Pool.RunScratch(len(ctr.List), func(ci int, sc *engine.Scratch) {
+		cl.solveOne(sh, ci, seed, sc)
+	})
+	return cl
 }
 
 // benchStages builds the repo benchmark's instance shape — a random
@@ -226,16 +233,11 @@ func benchStages(b *testing.B) (*ssrp.Shared, *Centers, []*ssrp.PerSource) {
 // timed loop.
 func BenchmarkCenterLandmark(b *testing.B) {
 	sh, ctr, perSrc := benchStages(b)
-	seed, _, err := buildSeedTable(context.Background(), sh, perSrc, ctr)
-	if err != nil {
-		b.Fatal(err)
-	}
+	seed, _ := seedTableForTest(sh, ctr, perSrc)
 	b.ReportAllocs()
 	var cl *centerLandmark
 	for b.Loop() {
-		if cl, err = buildCenterLandmark(context.Background(), sh, ctr, seed); err != nil {
-			b.Fatal(err)
-		}
+		cl = centerLandmarkForTest(sh, ctr, seed)
 	}
 	b.ReportMetric(float64(cl.NumArcs()), "arcs/op")
 }
@@ -270,14 +272,8 @@ func BenchmarkAssembly(b *testing.B) {
 	sh.Pool.RunScratch(len(perSrc), func(i int, sc *engine.Scratch) {
 		scs[i] = buildSourceCenter(perSrc[i], ctr, sc)
 	})
-	seed, _, err := buildSeedTable(context.Background(), sh, perSrc, ctr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cl, err := buildCenterLandmark(context.Background(), sh, ctr, seed)
-	if err != nil {
-		b.Fatal(err)
-	}
+	seed, _ := seedTableForTest(sh, ctr, perSrc)
+	cl := centerLandmarkForTest(sh, ctr, seed)
 	stats := make([]ssrp.Stats, len(perSrc))
 	b.ReportAllocs()
 	for b.Loop() {

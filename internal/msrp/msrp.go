@@ -37,7 +37,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"msrp/internal/cuckoo"
 	"msrp/internal/engine"
 	"msrp/internal/graph"
 	"msrp/internal/rp"
@@ -72,8 +71,8 @@ type Stats struct {
 	CLArcs    int64
 	SeedCount int
 	// SeedRehashes counts cuckoo rebuilds across the sharded §8.2.1
-	// build (shards + merge). Presizing keeps it at zero; a nonzero
-	// value in E9/E13 means a rehash cascade came back.
+	// build (shards + partition folds). Presizing keeps it at zero; a
+	// nonzero value in E9/E13 means a rehash cascade came back.
 	SeedRehashes int
 
 	// §8.3 auxiliary graphs (PaperBottleneck mode only).
@@ -87,36 +86,34 @@ type Stats struct {
 	// Stage-latency breakdown (the ROADMAP's "load shedding informed by
 	// measured build latency"). Every stage records wall time summed
 	// over its items — per-source builds, per-source seed enumerations,
-	// per-source merge work (scatter + partition folds in the streaming
-	// schedule; the single fold pass under a merge barrier), per-center
+	// per-source merge work (scatter + partition folds), per-center
 	// §8.2.2 builds, per-source assembly — a measure that stays
-	// comparable when schedules overlap the stages arbitrarily.
+	// meaningful however the streaming schedule overlaps the stages.
 	StagePerSourceBuild time.Duration
 	StageSeedEnumerate  time.Duration
 	StageSeedMerge      time.Duration
 	StageCenterLandmark time.Duration
 	StageAssembly       time.Duration
 
-	// Streaming-schedule readiness observability (zero under the
-	// barrier schedules). CentersReady counts centers whose §8.2.2
-	// build became runnable while other sources were still unretired —
-	// how much §8.2.2 work the readiness analysis released ahead of the
-	// last source. CentersOverlapped counts §8.2.2 builds that started
-	// while some source's build/enumerate/merge work was still running —
-	// the overlap the old stop-the-world merge barrier made impossible.
+	// Readiness observability. CentersReady counts centers whose
+	// §8.2.2 build became runnable while other sources were still
+	// unretired — how much §8.2.2 work the readiness analysis released
+	// ahead of the last source. CentersOverlapped counts §8.2.2 builds
+	// that started while some source's build/enumerate/merge work was
+	// still running.
 	CentersReady      int
 	CentersOverlapped int
 
 	// PeakSeedPathBytes is the high-water mark of live §7.1
 	// path-expansion state (Dijkstra parent chains + [t,e] target maps)
 	// across the solve. Each source's state is released as soon as its
-	// seed shard is enumerated, so the pipelined schedule peaks at
-	// Θ(P·aux) — the in-flight sources — while the barrier schedule
-	// (Params.BarrierPipeline) builds all σ sources before enumerating
-	// any and peaks at Θ(σ·aux). The exact value is schedule-dependent
-	// at P > 1 (it measures real concurrent liveness); the Θ bound is
-	// not. Path tracking does not change it: the provenance snapshot is
-	// a separate, deliberately retained plane accounted below.
+	// seed shard is enumerated, so the peak is Θ(P·aux) — the in-flight
+	// sources — rather than the Θ(σ·aux) of building every source
+	// before enumerating any. At P=1 it is exactly the largest single
+	// source's state; at P > 1 the value depends on the interleaving
+	// (it measures real concurrent liveness), the Θ bound does not.
+	// Path tracking does not change it: the provenance snapshot is a
+	// separate, deliberately retained plane accounted below.
 	PeakSeedPathBytes int64
 
 	// ProvenanceBytes is the retained footprint of the provenance plane
@@ -171,23 +168,22 @@ func SolveShared(sh *ssrp.Shared) (*Solution, error) {
 	return SolveSharedContext(context.Background(), sh)
 }
 
-// SolveSharedContext is SolveShared with cancellation: the per-source
-// stages observe ctx between items (via the engine's context-aware
-// scheduler) and the pipeline checks ctx between stages, so a cancelled
-// solve returns promptly — bounded by the stage items already in
+// SolveSharedContext is SolveShared with cancellation: every stage
+// observes ctx between items (the engine pipeline also between a
+// source's build and its seed enumeration), so a cancelled solve
+// returns promptly — bounded by the stage items already in
 // flight, not by the full σ-source run. A cancelled solve mutates no
 // state reachable from sh (the center-family RNG derivation is
 // idempotent), so retrying on the same Shared stays bit-identical.
 //
 // With Params.TrackPaths the solve additionally retains the provenance
 // plane — each source's §7.1 witness snapshot is taken between its
-// seed-shard enumeration and ReleasePathState (in every schedule, so
-// the Θ(P·aux) pre-merge peak of the untracked pipelined solve is
-// untouched), the §8.1/§8.2.2 parent chains and the merged seed table
-// are kept (the partitioned table, under the streaming schedule), and
-// every PerSource gets the plane installed as its landmark-path
-// expander. Tracking is purely observational: lengths are bit-identical
-// with it on or off, at any worker count, in any schedule.
+// seed-shard enumeration and ReleasePathState (so the Θ(P·aux) peak of
+// the untracked solve is untouched), the §8.1/§8.2.2 parent chains and
+// the partitioned seed table are kept, and every PerSource gets the
+// plane installed as its landmark-path expander. Tracking is purely
+// observational: lengths are bit-identical with it on or off, at any
+// worker count.
 func SolveSharedContext(ctx context.Context, sh *ssrp.Shared) (*Solution, error) {
 	g, sources, p := sh.G, sh.Sources, sh.Params
 	if err := checkPackable(g.NumVertices(), g.NumEdges()); err != nil {
@@ -205,26 +201,33 @@ func SolveSharedContext(ctx context.Context, sh *ssrp.Shared) (*Solution, error)
 		stats.CenterLevelSizes = append(stats.CenterLevelSizes, ctr.Levels.Size(k))
 	}
 
-	// Per-source builds (trees, §7.1 graphs, §8.1 graphs) and §8.2.1
-	// seed-shard enumeration. A source's shard depends only on that
-	// source's build, so by default the two stages run as one
-	// dependency-aware pipeline over the engine pool: a worker
-	// finishing source i's build immediately enumerates source i's
-	// shard while other sources are still building (or unclaimed, and
-	// stealable). The only barrier left is the shard merge below —
-	// MinPut is commutative and idempotent, so contents are
-	// bit-identical at any worker count and any interleaving. Each
-	// worker's scratch carries the arc-builder arrays from item to item
-	// (and, via the pool free list, into the later stages).
+	// One streaming schedule over the engine pool, following the only
+	// data dependencies the stages have:
+	//
+	//   - Stage A, per source: trees, the §7.1 graph and the §8.1 graph.
+	//   - Stage B, per source, right after its own stage A on the same
+	//     worker: enumerate the §8.2.1 seed shard, release the §7.1 path
+	//     state, and scatter the shard into per-center-partition staging
+	//     buckets (seedplan.go). A partition whose registered
+	//     contributors have all retired is frozen and its centers are
+	//     marked ready.
+	//   - Stage C, per center: the §8.2.2 G_c solve, drained from the
+	//     ready queue while other sources are still in stages A and B.
+	//
+	// A center's seed entries before that center's G_c is the only
+	// ordering left. The merge is MinPut, commutative and idempotent,
+	// and every partition folds its buckets in source order, so table
+	// contents and layout — hence every answer — are identical at any
+	// worker count and any interleaving. Each worker's scratch carries
+	// the arc-builder arrays from item to item (and, via the pool free
+	// list, into the assembly).
 	//
 	// Memory: a source's §7.1 path-expansion state (the only input of
 	// its shard enumeration not needed afterwards) is released at the
 	// end of its stage B, so at most P sources' worth is live at once;
-	// the barrier schedule keeps all σ alive across its stage boundary.
 	// liveSeedPathBytes/peak track that high-water mark.
 	perSrc := make([]*ssrp.PerSource, len(sources))
 	scs := make([]*sourceCenter, len(sources))
-	shards := make([]*cuckoo.Table, len(sources))
 	var buildNanos, enumNanos, assembleNanos atomic.Int64
 	var liveSeedPathBytes, peakSeedPathBytes atomic.Int64
 	buildOne := func(i int, sc *engine.Scratch) {
@@ -241,72 +244,28 @@ func SolveSharedContext(ctx context.Context, sh *ssrp.Shared) (*Solution, error)
 		buildNanos.Add(time.Since(start).Nanoseconds())
 		maxInto(&peakSeedPathBytes, liveSeedPathBytes.Add(ps.Small.PathStateBytes()))
 	}
+	pl := newSeedPlan(sh, ctr)
+	cl := newCenterLandmark(ctr)
 	enumerateOne := func(i int, sc *engine.Scratch) {
 		start := time.Now()
-		shards[i] = buildSeedShard(perSrc[i], ctr, sc)
+		shard := buildSeedShard(perSrc[i], ctr, sc)
 		if perSrc[i].TrackPaths {
 			// The compact witness snapshot is taken between the shard
 			// enumeration (the last consumer of the full path state)
-			// and the release below, in both schedules — the retained
-			// provenance plane, not a path-state leak.
+			// and the release below — the retained provenance plane,
+			// not a path-state leak.
 			perSrc[i].Snap = perSrc[i].Small.SnapshotProvenance()
 		}
 		liveSeedPathBytes.Add(-perSrc[i].Small.ReleasePathState())
 		enumNanos.Add(time.Since(start).Nanoseconds())
+		pl.retire(i, shard)
+		pl.noteSourceDone()
 	}
-	// Three schedules, bit-identical outputs (the merge is commutative
-	// and idempotent; §8.2.2 state is index-owned):
-	//
-	//   BarrierPipeline — all builds, then all enumerations, then the
-	//   flat merge, then the barriered §8.2.2 fan-out (the pre-pipeline
-	//   schedule, kept for E14/E20 and the bit-identity tests).
-	//
-	//   SeedMergeBarrier — build→enumerate pipelined per source, but
-	//   the merge still stops the world and §8.2.2 waits behind it
-	//   (the PR 4 schedule, the E20 comparison point).
-	//
-	//   default (streaming) — build→enumerate pipelined per source;
-	//   each retiring source scatters its shard into per-center-
-	//   partition staging buckets; a partition whose registered
-	//   contributors have all retired is frozen and its centers' §8.2.2
-	//   builds drain through the engine's ready queue while other
-	//   sources are still building, enumerating, or folding. The only
-	//   ordering left is the true data dependency: a center's seed
-	//   entries before that center's G_c.
-	var cl *centerLandmark
-	var seed seedReader
-	var err error
-	switch {
-	case p.BarrierPipeline:
-		if err = sh.Pool.RunScratchCtx(ctx, len(sources), buildOne); err == nil {
-			err = sh.Pool.RunScratchCtx(ctx, len(sources), enumerateOne)
-		}
-	case p.SeedMergeBarrier:
-		err = sh.Pool.PipelineScratchCtx(ctx, len(sources), buildOne, enumerateOne)
-	default:
-		pl := newSeedPlan(sh, ctr)
-		cl = newCenterLandmark(ctr)
-		err = sh.Pool.PipelineReadyScratchCtx(ctx, len(sources), buildOne,
-			func(i int, sc *engine.Scratch) {
-				enumerateOne(i, sc)
-				pl.retire(i, shards[i])
-				shards[i] = nil // staged into the plan's buckets now
-				pl.noteSourceDone()
-			},
-			pl.rq,
-			func(ci int, sc *engine.Scratch) {
-				pl.noteCenterStart()
-				cl.solveOne(sh, ci, pl.parts, sc)
-			})
-		if err == nil {
-			seed = pl.parts
-			stats.StageSeedMerge = time.Duration(pl.mergeNanos.Load())
-			stats.SeedRehashes = pl.rehashes()
-			stats.CentersReady = int(pl.centersReady.Load())
-			stats.CentersOverlapped = int(pl.centersOverlapped.Load())
-		}
+	solveCenter := func(ci int, sc *engine.Scratch) {
+		pl.noteCenterStart()
+		cl.solveOne(sh, ci, pl.parts, sc)
 	}
-	if err != nil {
+	if err := sh.Pool.PipelineReadyScratchCtx(ctx, len(sources), buildOne, enumerateOne, pl.rq, solveCenter); err != nil {
 		return nil, err
 	}
 	for i := range perSrc {
@@ -318,29 +277,14 @@ func SolveSharedContext(ctx context.Context, sh *ssrp.Shared) (*Solution, error)
 	stats.StagePerSourceBuild = time.Duration(buildNanos.Load())
 	stats.StageSeedEnumerate = time.Duration(enumNanos.Load())
 	stats.PeakSeedPathBytes = peakSeedPathBytes.Load()
-
-	if cl == nil {
-		// Barrier schedules: the flat merge, then the barriered §8.2.2
-		// fan-out; ctx is re-checked between stages.
-		mergeStart := time.Now()
-		flat, seedRehashes := mergeSeedShards(shards)
-		seed = flat
-		stats.StageSeedMerge = time.Since(mergeStart)
-		stats.SeedRehashes = seedRehashes
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if cl, err = buildCenterLandmark(ctx, sh, ctr, seed); err != nil {
-			return nil, err
-		}
-	}
-	stats.SeedCount = seed.Len()
+	stats.StageSeedMerge = time.Duration(pl.mergeNanos.Load())
+	stats.SeedRehashes = pl.rehashes()
+	stats.CentersReady = int(pl.centersReady.Load())
+	stats.CentersOverlapped = int(pl.centersOverlapped.Load())
+	stats.SeedCount = pl.parts.Len()
 	stats.StageCenterLandmark = cl.BuildTime()
 	stats.CLNodes = cl.NumNodes()
 	stats.CLArcs = cl.NumArcs()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 
 	// Assembly + sweeps + final combine: independent per source again,
 	// with per-source counters merged afterwards.
@@ -384,7 +328,7 @@ func SolveSharedContext(ctx context.Context, sh *ssrp.Shared) (*Solution, error)
 	}
 	sol := &Solution{Results: results, PerSource: perSrc, Stats: stats}
 	if p.TrackPaths && !p.PaperBottleneck {
-		sol.Prov = newProvenance(sh, ctr, perSrc, scs, cl, seed)
+		sol.Prov = newProvenance(sh, ctr, perSrc, scs, cl, pl.parts)
 		stats.ProvenanceBytes = sol.Prov.Bytes()
 		for _, ps := range perSrc {
 			stats.ProvenanceBytes += ps.ProvenanceBytes()

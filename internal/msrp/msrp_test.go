@@ -1,7 +1,6 @@
 package msrp
 
 import (
-	"context"
 	"testing"
 
 	"msrp/internal/graph"
@@ -41,9 +40,15 @@ func requireExact(t *testing.T, g *graph.Graph, sources []int32, p Params) {
 	if len(got) != len(sources) {
 		t.Fatalf("got %d results for %d sources", len(got), len(sources))
 	}
+	requireNaiveExact(t, g, sources, got)
+}
+
+// requireNaiveExact fails unless every result equals the brute-force
+// replacement-path table of its source.
+func requireNaiveExact(t *testing.T, g *graph.Graph, sources []int32, results []*rp.Result) {
+	t.Helper()
 	for i, s := range sources {
-		want := naive.SSRP(g, s)
-		if d := rp.Diff(want, got[i]); d != "" {
+		if d := rp.Diff(naive.SSRP(g, s), results[i]); d != "" {
 			t.Fatalf("source %d: %s", s, d)
 		}
 	}
@@ -322,10 +327,7 @@ func TestSeedTablePathsAreSound(t *testing.T) {
 		ps.BuildSmallNear()
 		perSrc = append(perSrc, ps)
 	}
-	seed, _, err := buildSeedTable(context.Background(), sh, perSrc, ctr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seed, _ := seedTableForTest(sh, ctr, perSrc)
 	count := 0
 	seed.Range(func(key uint64, w int32) bool {
 		c := int32(key >> (vertexBits + edgeBits))

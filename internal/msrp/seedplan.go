@@ -14,13 +14,12 @@ import (
 
 // The streaming seed merge and its readiness analysis.
 //
-// The pipelined solve (PR 4) removed the barrier between a source's
-// §7.1/§8.1 build and its §8.2.1 seed enumeration, but kept one
-// stop-the-world step: every source's shard had to finish before the
-// shards merged into the seed table, and every §8.2.2 per-center
-// Dijkstra waited behind that merge. This file dissolves that barrier:
+// Each source's §8.2.1 seed shard is enumerated right after its own
+// §7.1/§8.1 build. A single merge of all shards would make every
+// §8.2.2 per-center Dijkstra wait for the slowest source; the merge
+// here streams instead:
 //
-//   - The merge target becomes a cuckoo.Partitioned keyed by center id
+//   - The merge target is a cuckoo.Partitioned keyed by center id
 //     (packCRE leads with the center's bits, so routing on high key
 //     bits partitions the table *by center* — every key of one center
 //     lands in exactly one partition).
@@ -59,7 +58,7 @@ import (
 // presized partition table. The fold sequence of every partition is
 // therefore a pure function of the instance — independent of worker
 // count and retire interleaving — so the Partitioned's contents AND
-// layout (Fingerprint) are bit-identical across schedules and P.
+// layout (Fingerprint) are bit-identical at every worker count.
 type seedPlan struct {
 	sh  *ssrp.Shared
 	ctr *Centers
@@ -94,7 +93,7 @@ type seedPlan struct {
 	// The pair feeds the two observability counters: centersReady
 	// (readiness fired while other sources were still in flight) and
 	// centersOverlapped (§8.2.2 builds started while per-source work
-	// was still running — the wall-clock the old barrier wasted).
+	// was still running).
 	srcRemaining atomic.Int32
 	abDone       atomic.Int32
 
@@ -301,21 +300,7 @@ func (pl *seedPlan) noteCenterStart() {
 func (pl *seedPlan) noteSourceDone() { pl.abDone.Add(1) }
 
 // rehashes returns the total cuckoo rebuild count across shards and
-// partition folds — the same cascade observability the barriered
-// merge reports.
+// partition folds (Stats.SeedRehashes).
 func (pl *seedPlan) rehashes() int {
 	return int(pl.shardRehashes.Load()) + pl.parts.Rehashes()
-}
-
-// mergeSeedShardsPartitioned is the sequential reference for the
-// streaming merge: the same scatter + source-order fold, one source at
-// a time on one goroutine. The schedule-equivalence tests compare the
-// streaming result against it fingerprint-for-fingerprint.
-func mergeSeedShardsPartitioned(sh *ssrp.Shared, ctr *Centers, shards []*cuckoo.Table) *cuckoo.Partitioned {
-	pl := newSeedPlan(sh, ctr)
-	for i, shard := range shards {
-		pl.retire(i, shard)
-		pl.noteSourceDone()
-	}
-	return pl.parts
 }

@@ -1,9 +1,9 @@
 package msrp
 
 import (
-	"context"
 	"testing"
 
+	"msrp/internal/cuckoo"
 	"msrp/internal/engine"
 	"msrp/internal/graph"
 	"msrp/internal/ssrp"
@@ -11,6 +11,34 @@ import (
 )
 
 func engineScratch() *engine.Scratch { return &engine.Scratch{} }
+
+// mergeSeedShardsPartitioned is the sequential reference for the
+// streaming merge: the same scatter + source-order fold, one source at
+// a time on one goroutine.
+func mergeSeedShardsPartitioned(sh *ssrp.Shared, ctr *Centers, shards []*cuckoo.Table) *cuckoo.Partitioned {
+	pl := newSeedPlan(sh, ctr)
+	for i, shard := range shards {
+		pl.retire(i, shard)
+		pl.noteSourceDone()
+	}
+	return pl.parts
+}
+
+// seedTableForTest builds the §8.2.1 seed table outside a solve: every
+// source's shard enumerated over the pool, then the reference fold. It
+// returns the table and the rehash count across shards and folds.
+func seedTableForTest(sh *ssrp.Shared, ctr *Centers, perSrc []*ssrp.PerSource) (*cuckoo.Partitioned, int) {
+	shards := make([]*cuckoo.Table, len(perSrc))
+	sh.Pool.RunScratch(len(perSrc), func(i int, sc *engine.Scratch) {
+		shards[i] = buildSeedShard(perSrc[i], ctr, sc)
+	})
+	rehashes := 0
+	for _, shard := range shards {
+		rehashes += shard.Rehashes()
+	}
+	seed := mergeSeedShardsPartitioned(sh, ctr, shards)
+	return seed, rehashes + seed.Rehashes()
+}
 
 // buildSeedForTest replicates the SolveShared stages up to the §8.2.1
 // seed table at the given parallelism and dumps the table to a map.
@@ -28,10 +56,7 @@ func buildSeedForTest(t *testing.T, g *graph.Graph, sources []int32, par int) (m
 		perSrc[i] = sh.NewPerSource(s)
 		perSrc[i].BuildSmallNear()
 	}
-	seed, rehashes, err := buildSeedTable(context.Background(), sh, perSrc, ctr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seed, rehashes := seedTableForTest(sh, ctr, perSrc)
 	dump := make(map[uint64]int32, seed.Len())
 	seed.Range(func(key uint64, val int32) bool {
 		dump[key] = val

@@ -1,7 +1,6 @@
 package msrp
 
 import (
-	"context"
 	"sort"
 	"testing"
 
@@ -12,31 +11,20 @@ import (
 	"msrp/internal/xrand"
 )
 
-// scheduleNames enumerates the three solve schedules for sweep tests.
-var scheduleNames = []string{"barrier", "merge-barrier", "stream"}
-
-func paramsForSchedule(seed uint64, par int, schedule string, track bool) ssrp.Params {
-	p := testParams(seed)
+// sweepParams is the determinism sweep's configuration: testParams(77)
+// at the given worker count, with path tracking on or off.
+func sweepParams(par int, track bool) ssrp.Params {
+	p := testParams(77)
 	p.Parallelism = par
 	p.TrackPaths = track
-	switch schedule {
-	case "barrier":
-		p.BarrierPipeline = true
-	case "merge-barrier":
-		p.SeedMergeBarrier = true
-	case "stream":
-	default:
-		panic("unknown schedule " + schedule)
-	}
 	return p
 }
 
-// solveWithSchedule runs the full solve under the named schedule and
-// returns the Solution (so tests can reach the provenance plane's seed
-// table) plus the results.
-func solveWithSchedule(t *testing.T, g *graph.Graph, sources []int32, par int, schedule string, track bool) *Solution {
+// solveAt runs the full solve under sweepParams and returns the
+// Solution (so tests can reach the provenance plane's seed table).
+func solveAt(t *testing.T, g *graph.Graph, sources []int32, par int, track bool) *Solution {
 	t.Helper()
-	sh, err := ssrp.NewShared(g, sources, paramsForSchedule(77, par, schedule, track))
+	sh, err := ssrp.NewShared(g, sources, sweepParams(par, track))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,25 +35,26 @@ func solveWithSchedule(t *testing.T, g *graph.Graph, sources []int32, par int, s
 	return sol
 }
 
-// TestSchedulesBitIdentical is the past-the-merge acceptance sweep:
-// for every family, the three schedules (pre-pipeline barrier, PR 4
-// pipeline with merge barrier, readiness-gated streaming) return
-// bit-identical results at Parallelism ∈ {1, 2, 8}, with path tracking
-// off and on. CI runs this under -race, so it doubles as the data-race
-// proof for the scatter/freeze hand-off and the ready-queue drain.
+// TestSchedulesBitIdentical is the solve's determinism and exactness
+// sweep. How the pipeline interleaves builds, seed merges and §8.2.2
+// solves changes with the worker count; for every family at
+// Parallelism ∈ {1, 2, 8}, with path tracking off and on, every result
+// must equal the P=1 untracked solve bit for bit, and that solve must
+// equal the brute-force naive.SSRP table. CI runs this under -race, so
+// it doubles as the data-race proof for the scatter/freeze hand-off
+// and the ready-queue drain.
 func TestSchedulesBitIdentical(t *testing.T) {
 	for _, f := range pipelineFamilies() {
 		t.Run(f.name, func(t *testing.T) {
-			baseline := solveWithSchedule(t, f.g, f.sources, 1, "barrier", false)
+			baseline := solveAt(t, f.g, f.sources, 1, false)
+			requireNaiveExact(t, f.g, f.sources, baseline.Results)
 			for _, par := range []int{1, 2, 8} {
-				for _, schedule := range scheduleNames {
-					for _, track := range []bool{false, true} {
-						sol := solveWithSchedule(t, f.g, f.sources, par, schedule, track)
-						for i := range sol.Results {
-							if d := rp.Diff(baseline.Results[i], sol.Results[i]); d != "" {
-								t.Fatalf("P=%d %s track=%v: source %d differs: %s",
-									par, schedule, track, f.sources[i], d)
-							}
+				for _, track := range []bool{false, true} {
+					sol := solveAt(t, f.g, f.sources, par, track)
+					for i := range sol.Results {
+						if d := rp.Diff(baseline.Results[i], sol.Results[i]); d != "" {
+							t.Fatalf("P=%d track=%v: source %d differs: %s",
+								par, track, f.sources[i], d)
 						}
 					}
 				}
@@ -74,54 +63,77 @@ func TestSchedulesBitIdentical(t *testing.T) {
 	}
 }
 
+// seedLayouts pins each pipelineFamilies instance's seed table at
+// testParams(77): its entry count and cuckoo.Partitioned.Fingerprint,
+// which is sensitive to slot-level layout. Recorded from the
+// sequential reference fold; a change means the §8.2.1 enumeration,
+// the partition routing or the fold order moved.
+var seedLayouts = map[string]struct {
+	fingerprint uint64
+	entries     int
+}{
+	"erdos-renyi-sparse": {0xf71a45622ec64a43, 1792},
+	"erdos-renyi-dense":  {0x42d3682995966be1, 298},
+	"grid-4x9":           {0x776eca7df1d64c7, 2466},
+	"path-with-chords":   {0xa151335f82182faf, 4335},
+	"cycle-with-chords":  {0xa65aee0d130b3d7, 3495},
+	"barbell":            {0x43d4e8c8c04abfc7, 172},
+	"path-star-mix":      {0xfb6aa51c33f0e242, 9936},
+}
+
 // TestStreamingMergeContentsAndLayout pins the streaming merge's two
 // determinism contracts. Contents: the partitioned table holds exactly
-// the entries of the sequential flat merge (MinPut is commutative and
+// the per-key minimum over all shards (MinPut is commutative and
 // idempotent, so scatter order cannot matter). Layout: the partition
 // fold order is a pure function of the instance, so the Partitioned
-// fingerprint — which is sensitive to slot-level layout — is identical
-// for the sequential reference fold and the streaming solve at every
-// worker count.
+// fingerprint equals the recorded constant for the sequential
+// reference fold and for the solve at every worker count.
 func TestStreamingMergeContentsAndLayout(t *testing.T) {
 	for _, f := range pipelineFamilies() {
 		t.Run(f.name, func(t *testing.T) {
-			p := testParams(77)
-			sh, err := ssrp.NewShared(f.g, f.sources, p)
+			want, ok := seedLayouts[f.name]
+			if !ok {
+				t.Fatalf("no recorded seed layout for family %q", f.name)
+			}
+			sh, err := ssrp.NewShared(f.g, f.sources, testParams(77))
 			if err != nil {
 				t.Fatal(err)
 			}
 			ctr := newCenters(sh, sh.DeriveRNG())
 			shards := make([]*cuckoo.Table, len(f.sources))
+			minFold := map[uint64]int32{}
 			for i, s := range f.sources {
 				ps := sh.NewPerSource(s)
 				ps.BuildSmallNear()
 				shards[i] = buildSeedShard(ps, ctr, engineScratch())
+				shards[i].Range(func(key uint64, val int32) bool {
+					if old, ok := minFold[key]; !ok || val < old {
+						minFold[key] = val
+					}
+					return true
+				})
 			}
-			flat, _ := mergeSeedShards(shards)
 			ref := mergeSeedShardsPartitioned(sh, ctr, shards)
 
-			if ref.Len() != flat.Len() {
-				t.Fatalf("partitioned merge has %d entries, flat merge %d", ref.Len(), flat.Len())
+			if ref.Len() != len(minFold) {
+				t.Fatalf("partitioned merge has %d entries, min-fold %d", ref.Len(), len(minFold))
 			}
-			flat.Range(func(key uint64, val int32) bool {
+			for key, val := range minFold {
 				if got, ok := ref.Get(key); !ok || got != val {
-					t.Fatalf("key %x: partitioned %d,%v, flat %d", key, got, ok, val)
+					t.Fatalf("key %x: partitioned %d,%v, min-fold %d", key, got, ok, val)
 				}
-				return true
-			})
+			}
+			if got := ref.Fingerprint(); got != want.fingerprint || ref.Len() != want.entries {
+				t.Fatalf("reference fold: fingerprint %#x with %d entries, recorded %#x with %d",
+					got, ref.Len(), want.fingerprint, want.entries)
+			}
 
-			// The streaming solve's retained seed table (TrackPaths keeps
-			// it) must reproduce the reference fold slot for slot at every
-			// worker count.
-			want := ref.Fingerprint()
+			// The solve's retained seed table (TrackPaths keeps it) must
+			// reproduce the recorded layout at every worker count.
 			for _, par := range []int{1, 2, 8} {
-				sol := solveWithSchedule(t, f.g, f.sources, par, "stream", true)
-				part, ok := sol.Prov.seed.(*cuckoo.Partitioned)
-				if !ok {
-					t.Fatalf("P=%d: streaming solve retained %T, want *cuckoo.Partitioned", par, sol.Prov.seed)
-				}
-				if got := part.Fingerprint(); got != want {
-					t.Fatalf("P=%d: partitioned layout fingerprint %x, reference %x", par, got, want)
+				sol := solveAt(t, f.g, f.sources, par, true)
+				if got := sol.Prov.seed.Fingerprint(); got != want.fingerprint {
+					t.Fatalf("P=%d: partitioned layout fingerprint %#x, recorded %#x", par, got, want.fingerprint)
 				}
 			}
 		})
@@ -201,97 +213,18 @@ func twoIslands() (*graph.Graph, []int32) {
 }
 
 // TestStreamingReadinessFiresEarly: on the two-islands instance the
-// far island's centers are ready before any source retires, the
-// streaming stats report them, and the results still agree with the
-// barrier schedule (unreachable centers are handled identically in all
-// three schedules).
+// far island's centers are ready before any source retires, the stats
+// report them, and the results still equal the brute-force tables.
 func TestStreamingReadinessFiresEarly(t *testing.T) {
 	g, sources := twoIslands()
-	baseline := solveWithSchedule(t, g, sources, 1, "barrier", false)
 	for _, par := range []int{1, 2} {
-		sol := solveWithSchedule(t, g, sources, par, "stream", false)
-		for i := range sol.Results {
-			if d := rp.Diff(baseline.Results[i], sol.Results[i]); d != "" {
-				t.Fatalf("P=%d: source %d differs from barrier: %s", par, sources[i], d)
-			}
-		}
+		sol := solveAt(t, g, sources, par, false)
+		requireNaiveExact(t, g, sources, sol.Results)
 		if sol.Stats.CentersReady == 0 {
 			t.Errorf("P=%d: CentersReady = 0; far-island centers should be ready at t=0", par)
 		}
 		if sol.Stats.SeedRehashes != 0 {
 			t.Errorf("P=%d: SeedRehashes = %d, presized folds should never cascade", par, sol.Stats.SeedRehashes)
 		}
-	}
-	// The barrier schedules must not report readiness counters at all.
-	if barrier := solveWithSchedule(t, g, sources, 2, "merge-barrier", false); barrier.Stats.CentersReady != 0 || barrier.Stats.CentersOverlapped != 0 {
-		t.Errorf("merge-barrier schedule reported readiness counters (%d ready, %d overlapped)",
-			barrier.Stats.CentersReady, barrier.Stats.CentersOverlapped)
-	}
-}
-
-// cancelingSeed wraps a seedReader and cancels a context on the first
-// Get, recording which centers were probed — a deterministic mid-run
-// cancellation for the §8.2.2 stage.
-type cancelingSeed struct {
-	inner   seedReader
-	cancel  context.CancelFunc
-	calls   int
-	centers map[int32]bool
-}
-
-func (cs *cancelingSeed) Get(key uint64) (int32, bool) {
-	cs.calls++
-	if cs.calls == 1 {
-		cs.cancel()
-	}
-	cs.centers[int32(key>>(vertexBits+edgeBits))] = true
-	return cs.inner.Get(key)
-}
-func (cs *cancelingSeed) Len() int     { return cs.inner.Len() }
-func (cs *cancelingSeed) Bytes() int64 { return cs.inner.Bytes() }
-
-// TestCenterLandmarkCancellation is the §8.2.2 bugfix pin: the stage
-// used to run on a context-blind scheduler, so a cancelled solve still
-// paid all |C| per-center Dijkstras. Now a context cancelled mid-stage
-// stops the fan-out after the items already in flight (at P=1: exactly
-// the one center whose build observed the cancel), and a pre-cancelled
-// context runs nothing.
-func TestCenterLandmarkCancellation(t *testing.T) {
-	g := graph.RandomConnected(xrand.New(24), 40, 90)
-	sh, err := ssrp.NewShared(g, []int32{0, 5}, testParams(25))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctr := newCenters(sh, sh.DeriveRNG())
-	var perSrc []*ssrp.PerSource
-	for _, s := range []int32{0, 5} {
-		ps := sh.NewPerSource(s)
-		ps.BuildSmallNear()
-		perSrc = append(perSrc, ps)
-	}
-	seed, _, err := buildSeedTable(context.Background(), sh, perSrc, ctr)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cs := &cancelingSeed{inner: seed, cancel: cancel, centers: map[int32]bool{}}
-	if _, err := buildCenterLandmark(ctx, sh, ctr, cs); err != context.Canceled {
-		t.Fatalf("mid-stage cancel: err = %v, want context.Canceled", err)
-	}
-	if cs.calls == 0 {
-		t.Fatal("canceling seed reader was never consulted — instance enumerates no covered edges")
-	}
-	if len(cs.centers) != 1 {
-		t.Fatalf("cancelled §8.2.2 stage probed %d centers at P=1, want exactly the in-flight one", len(cs.centers))
-	}
-
-	dead, cancel2 := context.WithCancel(context.Background())
-	cancel2()
-	if _, err := buildCenterLandmark(dead, sh, ctr, seed); err != context.Canceled {
-		t.Fatalf("pre-cancelled: err = %v, want context.Canceled", err)
-	}
-	if _, _, err := buildSeedTable(dead, sh, perSrc, ctr); err != context.Canceled {
-		t.Fatalf("pre-cancelled seed build: err = %v, want context.Canceled", err)
 	}
 }
