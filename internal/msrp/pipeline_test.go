@@ -3,7 +3,9 @@ package msrp
 import (
 	"testing"
 
+	"msrp/internal/engine"
 	"msrp/internal/graph"
+	"msrp/internal/rp"
 	"msrp/internal/ssrp"
 	"msrp/internal/xrand"
 )
@@ -61,6 +63,77 @@ func pipelineFamilies() []struct {
 		sources []int32
 	}{"path-star-mix", psm, []int32{59, 60, 40, 64, 20, 68}})
 	return out
+}
+
+// solveBarrierForTest is a test-only reference for the streaming solve:
+// the same stages run one at a time over the pool, each finishing for
+// every source or center before the next starts — every per-source
+// build, then every seed shard and the reference fold, then every
+// center's G_c, then the assembly. No item waits on a ready queue, so
+// it shares no scheduling code with SolveShared. Besides the results it
+// returns the seed-table size and the G_c node and arc totals, which
+// move if a center's G_c misses seed entries.
+func solveBarrierForTest(t *testing.T, g *graph.Graph, sources []int32, par int) ([]*rp.Result, [3]int64) {
+	t.Helper()
+	sh, err := ssrp.NewShared(g, sources, sweepParams(par, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctr := newCenters(sh, sh.DeriveRNG())
+	perSrc := make([]*ssrp.PerSource, len(sources))
+	scs := make([]*sourceCenter, len(sources))
+	sh.Pool.RunScratch(len(sources), func(i int, sc *engine.Scratch) {
+		ps := sh.NewPerSource(sources[i])
+		ps.BuildSmallNearScratch(sc)
+		perSrc[i] = ps
+		scs[i] = buildSourceCenter(ps, ctr, sc)
+	})
+	seed, _ := seedTableForTest(sh, ctr, perSrc)
+	cl := centerLandmarkForTest(sh, ctr, seed)
+	results := make([]*rp.Result, len(sources))
+	sh.Pool.RunScratch(len(sources), func(i int, sc *engine.Scratch) {
+		ps := perSrc[i]
+		ps.SetLenSR(assembleLenSR(ps, ctr, scs[i], cl, sc))
+		sweepLandmarks(ps, maxSweeps)
+		var st ssrp.Stats
+		results[i] = ps.Combine(&st)
+	})
+	return results, [3]int64{int64(seed.Len()), cl.NumNodes(), cl.NumArcs()}
+}
+
+// TestPipelinedSolveMatchesBarrier checks the streaming solve against
+// the stage-at-a-time reference (solveBarrierForTest): for every
+// family, both at Parallelism ∈ {1, 2, 8} return results, seed count
+// and G_c node and arc totals identical to the reference at P=1.
+func TestPipelinedSolveMatchesBarrier(t *testing.T) {
+	for _, f := range pipelineFamilies() {
+		t.Run(f.name, func(t *testing.T) {
+			baseline, baseCounts := solveBarrierForTest(t, f.g, f.sources, 1)
+			for _, par := range []int{1, 2, 8} {
+				for _, barrier := range []bool{false, true} {
+					var results []*rp.Result
+					var counts [3]int64
+					if barrier {
+						results, counts = solveBarrierForTest(t, f.g, f.sources, par)
+					} else {
+						sol := solveAt(t, f.g, f.sources, par, false)
+						results = sol.Results
+						counts = [3]int64{int64(sol.Stats.SeedCount), sol.Stats.CLNodes, sol.Stats.CLArcs}
+					}
+					if counts != baseCounts {
+						t.Fatalf("P=%d barrier=%v: seeds, G_c nodes, G_c arcs = %v, want %v",
+							par, barrier, counts, baseCounts)
+					}
+					for i := range results {
+						if d := rp.Diff(baseline[i], results[i]); d != "" {
+							t.Fatalf("P=%d barrier=%v: source %d differs: %s",
+								par, barrier, f.sources[i], d)
+						}
+					}
+				}
+			}
+		})
+	}
 }
 
 // TestPipelinePeakSeedPathBytes pins the memory contract at the
